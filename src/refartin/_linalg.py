@@ -85,39 +85,6 @@ def field_kernel(rows: list[list], one) -> list[list]:
     return basis
 
 
-def field_solve(rows: list[list], rhs: list):
-    """Solve A x = rhs over an exact field; returns x or None if inconsistent.
-
-    Assumes the columns of A are linearly independent (unique solution when
-    consistent).  ``rows``/``rhs`` are consumed.
-    """
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pivot is None:
-            return None
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    # consistency: remaining rows must have zero rhs
-    for i in range(r, len(aug)):
-        if aug[i][-1]:
-            return None
-    sol = [None] * ncols
-    for pr, pc in enumerate(pivots):
-        sol[pc] = aug[pr][-1]
-    return sol
-
-
 def bareiss_poly_det(mat: list[list[tuple]]) -> tuple:
     """Determinant of a matrix over F[x] (entries as _poly tuples), fraction-free.
 

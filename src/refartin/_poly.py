@@ -1,9 +1,15 @@
-"""Dense univariate polynomial helpers over an exact field.
+"""Dense univariate polynomial helpers over an exact field, and over Z.
 
 Polynomials are lists/tuples of coefficients in ascending degree order with
 no trailing zeros (the zero polynomial is the empty tuple).  Coefficients may
 be ``fractions.Fraction`` or any exact field type supporting ``+ - * /`` and
 truthiness (e.g. :class:`refartin.cyclotomic.Cyclotomic`).
+
+Integer coefficients are allowed wherever no division is needed: division
+divides only by a leading coefficient other than 1, so dividing by a monic
+polynomial keeps integer input integer (``pdivmod``, ``pmod``,
+``pexact_div``, ``pcompose_mod``).  An integer divisor that is not monic
+raises ArithmeticError; a float never appears.
 """
 
 from __future__ import annotations
@@ -60,17 +66,21 @@ def pmul(a: Sequence, b: Sequence) -> tuple:
 
 
 def pdivmod(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
-    """Quotient and remainder; the leading coefficient of b must be invertible."""
+    """Quotient and remainder; the leading coefficient of b must be invertible,
+    and b must be monic when its coefficients are integers."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    db, lb = pdeg(b), b[-1]
+    monic = lb == 1
+    if isinstance(lb, int) and not monic:
+        raise ArithmeticError("integer polynomial division needs a monic divisor")
     if not a:
         return (), ()
     a = list(a)
-    db, lb = pdeg(b), b[-1]
     q = [a[0] * 0] * max(0, len(a) - db)
     while len(a) - 1 >= db and a:
         da = len(a) - 1
-        coef = a[-1] / lb
+        coef = a[-1] if monic else a[-1] / lb
         q[da - db] = coef
         for i in range(db + 1):
             a[da - db + i] = a[da - db + i] - coef * b[i]
@@ -104,6 +114,14 @@ def pxgcd(a: Sequence, b: Sequence) -> tuple[tuple, tuple, tuple]:
     return r0, s0, t0
 
 
+def pinvmod(a: Sequence, f: Sequence) -> tuple:
+    """The inverse of a modulo f; raises ZeroDivisionError if they share a factor."""
+    g, s, _ = pxgcd(a, f)
+    if pdeg(g) != 0:
+        raise ZeroDivisionError("element is not invertible modulo f")
+    return pscale(s, 1 / g[0])
+
+
 def _one_like(a: Sequence, b: Sequence):
     for c in list(a) + list(b):
         if c:
@@ -116,6 +134,14 @@ def pcompose(a: Sequence, b: Sequence) -> tuple:
     out: tuple = ()
     for c in reversed(list(a)):
         out = padd(pmul(out, b), (c,) if c else ())
+    return out
+
+
+def pcompose_mod(a: Sequence, b: Sequence, f: Sequence) -> tuple:
+    """a(b(x)) mod f by Horner evaluation, reducing mod f at every step."""
+    out: tuple = ()
+    for c in reversed(list(a)):
+        out = pmod(padd(pmul(out, b), (c,) if c else ()), f)
     return out
 
 

@@ -83,14 +83,21 @@ class InputError(Exception):
 # job file parsing
 
 
-def load_job(path: str) -> dict:
+def _read_json(path: str):
+    """Parse a JSON file; every way the file itself can be bad is an InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            job = json.load(fh)
+            return json.load(fh)
     except OSError as ex:
         raise InputError(f"cannot read {path}: {ex}") from ex
+    except UnicodeDecodeError as ex:
+        raise InputError(f"{path}: not UTF-8 text: {ex.reason} at byte {ex.start}") from ex
     except json.JSONDecodeError as ex:
         raise InputError(f"{path}:{ex.lineno}:{ex.colno}: invalid JSON: {ex.msg}") from ex
+
+
+def load_job(path: str) -> dict:
+    job = _read_json(path)
     if not isinstance(job, dict):
         raise InputError("job file must be a JSON object")
     version = job.get("version")
@@ -145,7 +152,7 @@ def oracle_from_job(obj: dict) -> tuple[MonogenicOrder, list | None]:
 # output helpers
 
 
-def _emit_value(v, fmt: str) -> str:
+def _emit_value(v) -> str:
     if isinstance(v, Cyclotomic):
         return json.dumps(v.encode(), sort_keys=True, separators=(",", ":"))
     return str(v)
@@ -163,7 +170,7 @@ def _emit_class_function(chi: ClassFunction, fmt: str, out) -> None:
         )
     else:
         for i, v in enumerate(chi.values):
-            print(f"class {i}: {_emit_value(v, fmt)}", file=out)
+            print(f"class {i}: {_emit_value(v)}", file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +195,7 @@ def cmd_compute(args) -> int:
     try:
         job = load_job(args.path)
         data = ramification_from_job(job)
-    except InputError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (RamificationError, GroupValidationError, ValueError) as ex:
+    except (InputError, RamificationError, GroupValidationError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     options = job.get("options", {})
@@ -202,13 +206,10 @@ def cmd_compute(args) -> int:
     try:
         if what == "artin":
             _emit_class_function(artin_character(data), args.format, sys.stdout)
-        elif what == "bar":
+        elif what in ("bar", "bar-avg"):  # bar-avg is bar --p-average
             chi = refined_artin(data)
-            if averaged:
+            if averaged or what == "bar-avg":
                 chi = p_average(chi, data.p, data.n)
-            _emit_class_function(chi, args.format, sys.stdout)
-        elif what == "bar-avg":
-            chi = p_average(refined_artin(data), data.p, data.n)
             _emit_class_function(chi, args.format, sys.stdout)
         elif what == "conductor":
             chi = rep_from_job(job, _one_arg(rest, "conductor REP"), data)
@@ -246,12 +247,7 @@ def _one_arg(rest: list[str], usage: str) -> str:
 
 def cmd_verify(args) -> int:
     try:
-        job = load_job(args.path)
-    except InputError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        data = ramification_from_job(job)
+        data = ramification_from_job(load_job(args.path))
     except InputError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -287,9 +283,7 @@ def cmd_oracle(args) -> int:
         elif sub == "monogenic":
             if len(args.args) != 1:
                 raise InputError("usage: oracle monogenic ORDER.json [--module NAME]")
-            with open(args.args[0], "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-            order, module = oracle_from_job(obj)
+            order, module = oracle_from_job(_read_json(args.args[0]))
             if args.module == "regular" or (args.module is None and module is None):
                 action = regular_action(order.group)
             elif args.module is None:
@@ -300,9 +294,7 @@ def cmd_oracle(args) -> int:
         elif sub == "derive-fixture":
             if len(args.args) != 1:
                 raise InputError("usage: oracle derive-fixture ORDER.json [-o OUT]")
-            with open(args.args[0], "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-            order, _ = oracle_from_job(obj)
+            order, _ = oracle_from_job(_read_json(args.args[0]))
             data = filtration_from_monogenic(order, args.prime_choice)
             out = _job_from_data(data)
             text = json.dumps(out, indent=2, sort_keys=True)
@@ -313,10 +305,7 @@ def cmd_oracle(args) -> int:
                 print(text)
         else:
             raise InputError(f"unknown oracle subcommand {sub!r}")
-    except InputError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (OSError, json.JSONDecodeError) as ex:
+    except (InputError, OSError) as ex:  # OSError: writing the -o file
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (OracleError, ValueError) as ex:

@@ -23,9 +23,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
-from .cyclotomic import Cyclotomic, NotRationalError, cyclo_sum, make_root, to_rational
+from .cyclotomic import Cyclotomic, NotRationalError, closure, cyclo_sum, make_root, to_rational
 from .grouptheory import (
     ClassFunction,
     FiniteGroup,
@@ -45,6 +44,7 @@ from .grouptheory import (
 from .ramification import (
     RamificationData,
     RamificationError,
+    SubextensionData,
     artin_character,
     bar_n,
     discriminant_valuation,
@@ -146,7 +146,7 @@ def qp_irreducibles_cyclic(n: int, p: int) -> list[ClassFunction]:
         for w in range(1, pk + 1):
             if gcd(w, pk) == 1:
                 gens.append(_crt(1, m, w, pk))
-    orbit_group = _generated_units(gens, n)
+    orbit_group = closure(gens, lambda x, g: x * g % n, 1 % n)
     seen = set()
     out = []
     for a in range(n):
@@ -169,22 +169,6 @@ def _crt(a: int, m: int, b: int, k: int) -> int:
         return a % m
     x = a % m + m * (((b - a) * pow(m, -1, k)) % k)
     return x % (m * k)
-
-
-def _generated_units(gens: Sequence[int], n: int) -> set[int]:
-    group = {1 % n if n > 1 else 0}
-    frontier = [1 % n]
-    gens = [g % n for g in gens]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = (x * g) % n
-                if y not in group:
-                    group.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return group
 
 
 def transport_to_cyclic(group_chi: ClassFunction, target: FiniteGroup) -> ClassFunction:
@@ -221,12 +205,26 @@ def weil_restriction_check(
 
     Returns (lhs, rhs) for comparison.
     """
-    sd = subgroup_data(r, sub)
+    return _weil_restriction(
+        r, sub, subgroup_data(r, sub), discriminant_valuation(r, sub), chi, on_unstable
+    )
+
+
+def _weil_restriction(
+    r: RamificationData,
+    sub: Subgroup,
+    sd: SubextensionData,
+    disc: Fraction,
+    chi: ClassFunction,
+    on_unstable: str,
+) -> tuple[Fraction, Fraction]:
+    """weil_restriction_check with the subgroup data and discriminant of
+    ``sub`` already computed."""
     if chi.group != sd.data.gamma:
         raise RamificationError("character must live on the subgroup's own group")
     lhs = conductor(r, pushforward(sub.inclusion, chi), on_unstable=on_unstable)
     rhs = sd.f_mk * conductor(sd.data, chi, on_unstable=on_unstable) + Fraction(1, 2) * (
-        discriminant_valuation(r, sub) * to_rational(chi.value(0))
+        disc * to_rational(chi.value(0))
     )
     return lhs, rhs
 
@@ -324,12 +322,13 @@ def verify_suite(r: RamificationData, *, advisory: bool = False) -> ConductorRep
             True,
         )
     bar = refined_artin(r)
-    add("bisection", f"|G|={r.gamma.order}", _enc_cf(artin_character(r)),
-        _enc_cf(bar + bar.conjugate()), True,
-        ok=(bar + bar.conjugate()).values == artin_character(r).values)
-    add("lower-upper-agreement", f"|G|={r.gamma.order}", _enc_cf(bar),
-        _enc_cf(refined_artin_upper(r)), True,
-        ok=refined_artin_upper(r).values == bar.values)
+    ar = artin_character(r)
+    bisected = bar + bar.conjugate()
+    add("bisection", f"|G|={r.gamma.order}", _enc_cf(ar), _enc_cf(bisected), True,
+        ok=bisected.values == ar.values)
+    upper = refined_artin_upper(r)
+    add("lower-upper-agreement", f"|G|={r.gamma.order}", _enc_cf(bar), _enc_cf(upper), True,
+        ok=upper.values == bar.values)
 
     subs = all_subgroups(r.gamma)
     normals = [s for s in subs if s.is_normal()]
@@ -349,7 +348,6 @@ def verify_suite(r: RamificationData, *, advisory: bool = False) -> ConductorRep
 
     # restriction to subgroups, conductor-discriminant, Weil restriction
     bar_avg = p_average(bar, r.p, r.n)
-    ar = artin_character(r)
     for sub in subs:
         inputs = f"H={list(sub.members)}"
         try:
@@ -371,7 +369,7 @@ def verify_suite(r: RamificationData, *, advisory: bool = False) -> ConductorRep
             for k, chi_std in enumerate(qp_irreducibles_cyclic(sub.order, r.p)):
                 chi = transport_to_cyclic(chi_std, sd.data.gamma)
                 try:
-                    lhs_c, rhs_c = weil_restriction_check(r, sub, chi, on_unstable="error")
+                    lhs_c, rhs_c = _weil_restriction(r, sub, sd, disc, chi, "error")
                     add("weil-restriction", f"{inputs} chi#{k}", rhs_c, lhs_c, prop_binding)
                     add(
                         "averaging-consistency",

@@ -10,6 +10,11 @@ Everything is immutable and pure; the per-conductor caches are filled
 idempotently, so concurrent use needs no synchronization.
 
 No floating point is used anywhere.
+
+The module is also the package's one home for elementary number theory:
+:func:`is_prime`, :func:`prime_factors`, :func:`euler_phi`, :func:`divisors`,
+:func:`multiplicative_order`, :func:`cyclotomic_polynomial`, and the generic
+:func:`closure` of a set of generators under a multiplication.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from ._linalg import field_solve
+from ._linalg import field_kernel
+from ._poly import pexact_div, pinvmod, ptrim
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -32,17 +38,9 @@ class NotRationalError(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    p, m, result = 2, n, 1
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            result *= (p - 1) * p ** (e - 1)
-        p += 1
-    if m > 1:
-        result *= m - 1
+    result = n
+    for p in prime_factors(n):
+        result = result // p * (p - 1)
     return result
 
 
@@ -73,6 +71,42 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Sorenson and Webster (2015): Miller-Rabin with the first 13 prime bases is
+# exact for every n below psi_13.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality by Miller-Rabin with the prime bases 2..41.
+
+    Exact for n < psi_13 = 3317044064679887385961981; raises ValueError for
+    larger n, where these bases are no longer proven sufficient.
+    """
+    if n >= _PSI_13:
+        raise ValueError(f"{n} is beyond the range of deterministic primality testing")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def multiplicative_order(a: int, n: int) -> int:
     if n == 1:
         return 1
@@ -85,34 +119,34 @@ def multiplicative_order(a: int, n: int) -> int:
     return r
 
 
+def closure(gens: Iterable, mul: Callable, one) -> set:
+    """Everything reachable from ``one`` by multiplying on the right by the
+    generators, breadth first: the subgroup they generate in a finite group."""
+    gens = list(gens)
+    seen = {one}
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, ascending degree, computed by dividing
     X^n - 1 by the cyclotomic polynomials of the proper divisors of n."""
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
+    num = (-1,) + (0,) * (n - 1) + (1,)
     for d in divisors(n)[:-1]:
-        num = _int_poly_div_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
-
-
-def _int_poly_div_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            assert c % b[-1] == 0
-            c //= b[-1]
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-        a.pop()
-    assert not any(a), "inexact polynomial division"
-    return q
+        num = pexact_div(num, cyclotomic_polynomial(d))
+    return num
 
 
 @lru_cache(maxsize=None)
@@ -176,16 +210,7 @@ def _kernel_generators(n: int, m: int) -> tuple[int, ...]:
         if gcd(k, n) != 1 or k in closed:
             continue
         gens.append(k)
-        frontier = [k]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in list(closed):
-                    y = (x * g) % n
-                    if y not in closed:
-                        closed.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        closed = closure(gens, lambda x, g: x * g % n, 1)
     return tuple(gens)
 
 
@@ -219,13 +244,15 @@ def _canonical(n: int, coeffs: Sequence[Fraction]) -> tuple[int, tuple[Fraction,
                 continue
             if not _fixed_by_subfield_group(n, coeffs, m):
                 continue
-            sol = field_solve(
-                [[b[i] for b in _subfield_basis(n, m)] for i in range(len(coeffs))],
-                list(coeffs),
+            # coeffs = A x with A's columns the (independent) subfield basis:
+            # ker [A | coeffs] is empty or spanned by (-x, 1)
+            basis = _subfield_basis(n, m)
+            kernel = field_kernel(
+                [[b[i] for b in basis] + [c] for i, c in enumerate(coeffs)], _F1
             )
-            if sol is None:
+            if not kernel:
                 continue
-            n, coeffs = m, [Fraction(x) for x in sol]
+            n, coeffs = m, [-x for x in kernel[0][:-1]]
             if n == 1:
                 return 1, (coeffs[0] if coeffs else _F0,)
             if not any(coeffs[1:]):
@@ -350,12 +377,8 @@ class Cyclotomic:
             raise ZeroDivisionError("cyclotomic division by zero")
         if self.conductor == 1:
             return Cyclotomic(1, (1 / self.coeffs[0],))
-        from ._poly import pxgcd, ptrim, pscale
-
         phi = tuple(Fraction(c) for c in cyclotomic_polynomial(self.conductor))
-        g, s, _ = pxgcd(ptrim(self.coeffs), phi)
-        assert len(g) == 1, "cyclotomic polynomial must be coprime to a nonzero element"
-        inv = pscale(s, 1 / g[0])
+        inv = pinvmod(ptrim(self.coeffs), phi)
         coeffs = list(inv) + [_F0] * (len(self.coeffs) - len(inv))
         return Cyclotomic._new(self.conductor, coeffs)
 

@@ -8,7 +8,10 @@ binding on it.  The one deliberate exception is flagged in its docstring.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
+from ._poly import pcompose
+from .cyclotomic import cyclotomic_polynomial, is_prime
 from .grouptheory import cyclic_group
 from .oracle import MonogenicOrder, build_monogenic_order, filtration_from_monogenic
 from .ramification import RamificationData, build_ramification
@@ -68,45 +71,11 @@ def cyclotomic_tower_order(p: int, k: int) -> MonogenicOrder:
     if k < 1:
         raise ValueError("k must be >= 1")
     q = p**k
-    phi = _cyclotomic_shifted(q)
-    maps = []
-    for j in range(1, q):
-        if j % p == 0:
-            continue
-        # (x+1)^j - 1
-        g = [0]
-        cur = [1]
-        for _ in range(j):
-            cur = _mul_shift(cur)
-        g = cur
-        g[0] -= 1
-        maps.append(g)
-    maps.sort(key=lambda g: g != [0, 1])  # identity first
+    phi = pcompose(cyclotomic_polynomial(q), (1, 1))
+    # (x+1)^j - 1
+    maps = [(0,) + tuple(comb(j, i) for i in range(1, j + 1)) for j in range(1, q) if j % p]
+    maps.sort(key=lambda g: g != (0, 1))  # identity first
     return build_monogenic_order(p, phi, maps)
-
-
-def _mul_shift(a: list[int]) -> list[int]:
-    """a(x) * (x + 1)."""
-    out = [0] * (len(a) + 1)
-    for i, c in enumerate(a):
-        out[i] += c
-        out[i + 1] += c
-    return out
-
-
-def _cyclotomic_shifted(q: int) -> list[int]:
-    """Phi_q(x + 1) as integer coefficients (q a prime power)."""
-    from .cyclotomic import cyclotomic_polynomial
-
-    phi = cyclotomic_polynomial(q)
-    # substitute x + 1 by Horner
-    out = [0]
-    for c in reversed(phi):
-        out = _mul_shift(out)[: len(phi)]
-        out[0] += c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def real_cubic_order7() -> MonogenicOrder:
@@ -140,8 +109,6 @@ def _coprime_primes(n: int) -> list[int]:
     second = next(p for p in (7, 11, 13, 5, 3, 2) if n % p and p != first)
     # a prime congruent to 1 mod n, where every character is Frobenius-stable
     split = 2
-    while split % n != 1 % n or any(
-        split % d == 0 for d in range(2, split) if d * d <= split
-    ):
+    while split % n != 1 % n or not is_prime(split):
         split += 1
     return sorted({first, second, split})

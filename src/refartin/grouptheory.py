@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .cyclotomic import Cyclotomic, ZERO, cyclo_sum, from_rational, make_root
+from .cyclotomic import Cyclotomic, ZERO, closure, cyclo_sum, from_rational, make_root
 
 
 class GroupValidationError(ValueError):
@@ -72,28 +72,13 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _closure(table: Sequence[Sequence[int]], gens: Iterable[int]) -> set[int]:
-    seen = {0, *gens}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(seen):
-                for c in (table[a][b], table[b][a]):
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return seen
-
-
 def _generating_set(table: Sequence[Sequence[int]]) -> list[int]:
     gens: list[int] = []
     seen = {0}
     for x in range(len(table)):
         if x not in seen:
             gens.append(x)
-            seen = _closure(table, gens)
+            seen = closure(gens, lambda a, b: table[a][b], 0)
     return gens
 
 
@@ -189,18 +174,7 @@ def perm_group(generator_cycles: Sequence[Sequence[Sequence[int]]]) -> FiniteGro
             for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
                 p[a - 1] = b - 1
         perms.append(tuple(p))
-    identity = tuple(range(points))
-    elements = {identity, *perms}
-    frontier = list(elements)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in perms:
-                c = tuple(a[b[i]] for i in range(points))
-                if c not in elements:
-                    elements.add(c)
-                    nxt.append(c)
-        frontier = nxt
+    elements = closure(perms, lambda a, b: tuple(a[i] for i in b), tuple(range(points)))
     ordered = sorted(elements)  # the identity is the lexicographic minimum
     index = {p: i for i, p in enumerate(ordered)}
     table = [
@@ -306,9 +280,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def index_of(self, parent_elem: int) -> int:
-        return self.members.index(parent_elem)
-
     def is_normal(self) -> bool:
         memset = set(self.members)
         t, inv = self.parent.table, self.parent.inverse
@@ -357,7 +328,7 @@ def quotient(parent: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, GroupH
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """All subgroups, ordered by (order, member tuple)."""
-    found = {tuple(sorted(_closure(g.table, (h,)))) for h in range(g.order)}
+    found = {tuple(sorted(closure((h,), g.mul, 0))) for h in range(g.order)}
     grew = True
     while grew:
         grew = False
@@ -365,7 +336,7 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
             for x in range(g.order):
                 if x in a:
                     continue
-                b = tuple(sorted(_closure(g.table, a + (x,))))
+                b = tuple(sorted(closure(a + (x,), g.mul, 0)))
                 if b not in found:
                     found.add(b)
                     grew = True
@@ -374,10 +345,6 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
 
 def all_normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
     return [s for s in all_subgroups(g) if s.is_normal()]
-
-
-def product_set_size(g: FiniteGroup, a: Iterable[int], b: Iterable[int]) -> int:
-    return len({g.table[x][y] for x in a for y in b})
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +361,6 @@ class ClassFunction:
     def __post_init__(self):
         if len(self.values) != len(self.group.classes):
             raise GroupValidationError("one value per conjugacy class required")
-
-    @staticmethod
-    def from_element_values(group: FiniteGroup, values: Sequence[Cyclotomic]) -> "ClassFunction":
-        if len(values) != group.order:
-            raise GroupValidationError("one value per element required")
-        out = []
-        for cls in group.classes:
-            v = values[cls[0]]
-            if any(values[g] != v for g in cls[1:]):
-                raise GroupValidationError("values are not constant on conjugacy classes")
-            out.append(v)
-        return ClassFunction(group, tuple(out))
 
     def value(self, g: int) -> Cyclotomic:
         return self.values[self.group.class_of[g]]

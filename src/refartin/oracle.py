@@ -33,8 +33,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from ._linalg import bareiss_poly_det, field_kernel, integer_kernel
-from ._poly import pcompose, pdeg, pmod, pmul, presultant, psub, ptrim
-from .cyclotomic import Cyclotomic, ONE, ZERO, make_root
+from ._poly import pcompose_mod, pinvmod, plow_order, pmod, pmul, presultant, psub, ptrim
+from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, make_root, multiplicative_order
 from .grouptheory import FiniteGroup, group_from_table
 from .ramification import RamificationData, build_ramification
 
@@ -93,8 +93,7 @@ class TameModel:
         det = bareiss_poly_det(mat)
         if not det:
             raise OracleError("base-change map is not injective")
-        val = next(i for i, c in enumerate(det) if c)
-        return Fraction(val, n)
+        return Fraction(plow_order(det), n)
 
 
 def oracle_tame_clin(n: int, exponents: Sequence[int]) -> Fraction:
@@ -125,7 +124,7 @@ class MonogenicOrder:
 
     def __post_init__(self):
         p, f = self.p, self.f
-        if p < 2 or any(p % q == 0 for q in range(2, p) if q * q <= p):
+        if not is_prime(p):
             raise OracleError(f"{p} is not prime")
         if len(f) < 2 or f[-1] != 1:
             raise OracleError("f must be monic of positive degree")
@@ -142,10 +141,8 @@ class MonogenicOrder:
             raise OracleError("the first Galois map must be the identity x -> x")
         if len(set(maps)) != e:
             raise OracleError("Galois maps are not distinct")
-        ff = tuple(Fraction(c) for c in f)
         for g in maps:
-            comp = pmod(pcompose(ff, tuple(Fraction(c) for c in g)), ff)
-            if comp:
+            if pcompose_mod(f, g, f):
                 raise OracleError("a Galois map does not send x to a root of f")
         index = {g: i for i, g in enumerate(maps)}
         table = []
@@ -153,7 +150,7 @@ class MonogenicOrder:
             row = []
             for b in maps:
                 # (sigma_a o sigma_b)(x) = g_b(g_a(x)) mod f
-                comp = self._reduce_int(_int_compose_mod(b, a, f))
+                comp = self._reduce_int(pcompose_mod(b, a, f))
                 if comp not in index:
                     raise OracleError("Galois maps do not close under composition")
                 row.append(index[comp])
@@ -165,7 +162,7 @@ class MonogenicOrder:
         return len(self.f) - 1
 
     def _reduce_int(self, g: Sequence[int]) -> tuple[int, ...]:
-        out = _int_poly_mod(tuple(int(c) for c in g), self.f)
+        out = pmod(tuple(int(c) for c in g), self.f)
         return out + (0,) * (self.degree - len(out))
 
     def sigma_matrix(self, i: int) -> list[list[int]]:
@@ -176,51 +173,8 @@ class MonogenicOrder:
         cur = (1,) + (0,) * (e - 1)  # g^0
         for _ in range(e):
             cols.append(cur)
-            cur = self._reduce_int(_int_poly_mul(cur, g))
+            cur = self._reduce_int(pmul(cur, g))
         return [[cols[a][b] for a in range(e)] for b in range(e)]
-
-
-def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return tuple(out)
-
-
-def _int_poly_mod(a: Sequence[int], f: Sequence[int]) -> tuple[int, ...]:
-    a = list(a)
-    df = len(f) - 1
-    while len(a) > df:
-        c = a[-1]
-        if c:
-            for j in range(df + 1):
-                a[len(a) - 1 - df + j] -= c * f[j]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _int_poly_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _int_compose_mod(outer: Sequence[int], inner: Sequence[int], f: Sequence[int]) -> tuple[int, ...]:
-    """outer(inner(x)) mod f, by Horner evaluation over the integers."""
-    out: tuple[int, ...] = ()
-    for c in reversed(list(outer)):
-        out = _int_poly_mod(_int_poly_mul(out, inner), f)
-        out = _int_poly_add(out, (c,))
-    return _int_poly_mod(out, f)
 
 
 def build_monogenic_order(p: int, f: Sequence[int], galois: Sequence[Sequence[int]]) -> MonogenicOrder:
@@ -333,15 +287,6 @@ def _nf_mul(a, b, f):
     return pmod(pmul(a, b), f)
 
 
-def _nf_inv(a, f):
-    from ._poly import pxgcd, pscale
-
-    g, s, _ = pxgcd(ptrim(a), f)
-    if pdeg(g) != 0:
-        raise ZeroDivisionError("element is not invertible modulo f")
-    return pscale(s, 1 / g[0])
-
-
 def _nf_det(mat: list[list[tuple]], f: tuple) -> tuple:
     """Determinant over Q[x]/(f) by Gaussian elimination with exact fractions."""
     n = len(mat)
@@ -357,7 +302,7 @@ def _nf_det(mat: list[list[tuple]], f: tuple) -> tuple:
             sign = -sign
         pk = a[k][k]
         det = _nf_mul(det, pk, f)
-        inv = _nf_inv(pk, f)
+        inv = pinvmod(pk, f)
         for i in range(k + 1, n):
             if a[i][k]:
                 factor = _nf_mul(a[i][k], inv, f)
@@ -433,18 +378,10 @@ def tame_character_from_monogenic(order: MonogenicOrder, prime_choice: int = 0) 
         )
     root = roots[prime_choice]
     gen = min(
-        g for g in range(grp.order) if _mult_order_mod(units[g], p) == n
+        g for g in range(grp.order) if multiplicative_order(units[g], p) == n
     )
     exponent = next(c for c in range(n) if pow(root, c, p) == units[gen])
     return TameCharacterData(gen, exponent, n, root)
-
-
-def _mult_order_mod(a: int, p: int) -> int:
-    x, r = a % p, 1
-    while x != 1:
-        x = (x * a) % p
-        r += 1
-    return r
 
 
 def filtration_from_monogenic(order: MonogenicOrder, prime_choice: int = 0) -> RamificationData:

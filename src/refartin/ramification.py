@@ -23,14 +23,13 @@ from functools import lru_cache
 from math import ceil, gcd
 from typing import NamedTuple, Sequence
 
-from .cyclotomic import ZERO, frobenius_average, make_root
+from .cyclotomic import ZERO, frobenius_average, is_prime, make_root
 from .grouptheory import (
     ClassFunction,
     FiniteGroup,
     Subgroup,
     augmentation_character,
     cyclic_group,
-    pullback,
     pushforward,
     quotient,
     subgroup,
@@ -115,11 +114,9 @@ def build_ramification(
     trivial groups may be included or omitted.  ``tame`` is the pair
     (generator, exponent) describing Psi; it may be omitted when n = 1.
     """
-    if p != 0 and not _probably_prime(p):
+    if p != 0 and not is_prime(p):
         raise RamificationError(f"residue characteristic {p} is neither 0 nor prime")
-    groups = [frozenset(fl) for fl in filtration]
-    while groups and len(groups[-1]) == 1:
-        groups.pop()
+    groups, e, wild, n = _shape(filtration)
     subs = [subgroup(gamma, tuple(sorted(m))) for m in groups]
     for i, s in enumerate(subs):
         if not s.is_normal():
@@ -127,17 +124,14 @@ def build_ramification(
     for i in range(1, len(subs)):
         if not groups[i] <= groups[i - 1]:
             raise RamificationError(f"filtration is not decreasing at index {i}")
-    e = len(groups[0]) if groups else 1
-    wild = len(groups[1]) if len(groups) > 1 else 1
     if p == 0:
         if wild != 1:
             raise RamificationError("equal characteristic zero requires trivial wild inertia")
     else:
         if not _is_prime_power(wild, p):
             raise RamificationError(f"wild inertia order {wild} is not a power of p={p}")
-        if (e // wild) % p == 0:
+        if n % p == 0:
             raise RamificationError("tame quotient order is divisible by p")
-    n = e // wild
     # tame quotient must be cyclic of order n
     if groups:
         g0 = subs[0]
@@ -164,6 +158,17 @@ def build_ramification(
     return RamificationData(gamma, tuple(groups), p, generator, exponent)
 
 
+def _shape(filtration: Sequence[Sequence[int]]) -> tuple[list[frozenset[int]], int, int, int]:
+    """Member sets of a filtration with trailing trivial groups trimmed, then
+    e = |Gamma_0|, |Gamma_1| and the tame order n = e / |Gamma_1|."""
+    groups = [frozenset(fl) for fl in filtration]
+    while groups and len(groups[-1]) == 1:
+        groups.pop()
+    e = len(groups[0]) if groups else 1
+    wild = len(groups[1]) if len(groups) > 1 else 1
+    return groups, e, wild, e // wild
+
+
 def proj_order(gamma: FiniteGroup, groups: Sequence[frozenset[int]], g: int) -> int:
     """Order of g modulo Gamma_1 (inside Gamma_0/Gamma_1)."""
     g1 = groups[1] if len(groups) > 1 else frozenset({0})
@@ -172,17 +177,6 @@ def proj_order(gamma: FiniteGroup, groups: Sequence[frozenset[int]], g: int) -> 
         x = gamma.table[x][g]
         r += 1
     return r
-
-
-def _probably_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -304,27 +298,22 @@ def _zero_cf(g: FiniteGroup) -> ClassFunction:
 
 
 def _tame_part_on_quotient(
-    r: RamificationData, g0: Subgroup, wild_members_in_g0: tuple[int, ...]
+    r: RamificationData, g0: Subgroup, wild: frozenset[int]
 ) -> ClassFunction:
-    """Inf of the Psi-pullback of bar_n from Gamma_0/Gamma_1 up to Gamma_0."""
+    """Inf of the Psi-pullback of bar_n from Gamma_0/Gamma_1 up to Gamma_0,
+    with Gamma_1 given by its member set ``wild`` in Gamma."""
     n = r.n
-    wild_sub = subgroup(g0.group, wild_members_in_g0)
-    q, proj = quotient(g0.group, wild_sub)
     if n == 1:
         return _zero_cf(g0.group)
-    gen_q = proj.mapping[g0.members.index(r.tame_generator)]
-    # discrete log base gen_q in the cyclic group q
-    dlog = {0: 0}
-    x, t = gen_q, 1
-    while x != 0:
-        dlog[x] = t
-        x = q.table[x][gen_q]
-        t += 1
     bn = bar_n(n)
-    vals = tuple(bn.values[(dlog[cls[0]] * r.tame_exponent) % n] for cls in q.classes)
-    return pullback(proj, ClassFunction(q, vals))
+    vals = tuple(
+        bn.values[(_dlog_mod_wild(r, g0.members[cls[0]], wild) * r.tame_exponent) % n]
+        for cls in g0.group.classes
+    )
+    return ClassFunction(g0.group, vals)
 
 
+@lru_cache(maxsize=None)
 def refined_artin(r: RamificationData) -> ClassFunction:
     """The refined Artin character, built from the lower-numbering filtration:
 
@@ -335,14 +324,9 @@ def refined_artin(r: RamificationData) -> ClassFunction:
     Values lie in Q(zeta_n); adding the valuewise conjugate gives back the
     Artin character.
     """
-    return _refined_artin_cached(r)
-
-
-@lru_cache(maxsize=None)
-def _refined_artin_cached(r: RamificationData) -> ClassFunction:
     g0 = r.subgroup_at(0)
     wild = tuple(sorted(g0.members.index(m) for m in r.members_at(1)))
-    inner = _tame_part_on_quotient(r, g0, wild)
+    inner = _tame_part_on_quotient(r, g0, r.members_at(1))
     wild_sub = subgroup(g0.group, wild)
     inner = inner + pushforward(
         wild_sub.inclusion, augmentation_character(wild_sub.group)
@@ -370,7 +354,7 @@ def refined_artin_upper(r: RamificationData) -> ClassFunction:
     e = r.e
     wild_members = upper_group(r, Fraction(1, e)).members
     wild = tuple(sorted(g0sub.members.index(m) for m in wild_members))
-    inner = _tame_part_on_quotient(r, g0sub, wild)
+    inner = _tame_part_on_quotient(r, g0sub, frozenset(wild_members))
     wild_sub = subgroup(g0, wild)
     inner = inner + pushforward(
         wild_sub.inclusion, augmentation_character(wild_sub.group)
@@ -409,11 +393,6 @@ def p_average(chi: ClassFunction, p: int, n: int) -> ClassFunction:
     return ClassFunction(chi.group, tuple(vals))
 
 
-def refined_artin_averaged(r: RamificationData) -> ClassFunction:
-    """The Gal(Q_p(mu_n)/Q_p)-average of the refined Artin character."""
-    return p_average(refined_artin(r), r.p, r.n)
-
-
 # ---------------------------------------------------------------------------
 # derived data for subextensions and quotients
 
@@ -444,12 +423,7 @@ def subgroup_data(r: RamificationData, sub: Subgroup) -> SubextensionData:
     wild_sub = len(memset & r.members_at(1))
     e_wild = r.order_at(1) // wild_sub
     # tame character of L/M
-    groups_h = [frozenset(fl) for fl in filtration]
-    while groups_h and len(groups_h[-1]) == 1:
-        groups_h.pop()
-    n_sub = (len(groups_h[0]) if groups_h else 1) // (
-        len(groups_h[1]) if len(groups_h) > 1 else 1
-    )
+    groups_h, _, _, n_sub = _shape(filtration)
     tame = None
     if n_sub > 1:
         gen_h = min(
@@ -468,9 +442,11 @@ def subgroup_data(r: RamificationData, sub: Subgroup) -> SubextensionData:
     return SubextensionData(data, f_mk, e_wild)
 
 
-def _dlog_mod_wild(r: RamificationData, g: int) -> int:
-    """Discrete log of g modulo Gamma_1 with respect to the tame generator."""
-    wild = r.members_at(1)
+def _dlog_mod_wild(r: RamificationData, g: int, wild: frozenset[int] | None = None) -> int:
+    """Discrete log of g modulo Gamma_1 with respect to the tame generator;
+    ``wild`` is the member set of Gamma_1 (by default the lower-numbering one)."""
+    if wild is None:
+        wild = r.members_at(1)
     x, t = 0, 0
     gen = r.tame_generator
     for t in range(r.n):
@@ -521,11 +497,7 @@ def quotient_data(r: RamificationData, normal: Subgroup) -> RamificationData:
             acc += (right - left) * slope
         filtration.append(sorted(qu(w)))
         u += 1
-    groups_q = [frozenset(fl) for fl in filtration]
-    while groups_q and len(groups_q[-1]) == 1:
-        groups_q.pop()
-    e_q = len(groups_q[0]) if groups_q else 1
-    n_q = e_q // (len(groups_q[1]) if len(groups_q) > 1 else 1)
+    n_q = _shape(filtration)[3]
     tame = None
     if n_q > 1:
         tame = (proj.mapping[r.tame_generator], r.tame_exponent % n_q)
@@ -548,11 +520,14 @@ def discriminant_valuation(r: RamificationData, sub: Subgroup) -> Fraction:
         nu_M(D_{M/K}) = (nu_L(D_{L/K}) - nu_L(D_{L/M})) / e_{L/M}
         nu_K(d_{M/K}) = f_{M/K} * nu_M(D_{M/K}).
 
+    Both terms are read off the filtration of L/K: nu_L(D_{L/M}) through
+    Gamma'_i = Gamma' n Gamma_i, and f_{M/K} / e_{L/M} = f_{L/K} / [L:M].
+
     Always an exact rational; an integer on data coming from genuine
     extensions.
     """
-    sd = subgroup_data(r, sub)
-    d_lk = different_valuation(r)
-    d_lm = different_valuation(sd.data)
-    e_lm = sd.data.e
-    return Fraction(sd.f_mk * (d_lk - d_lm), e_lm)
+    if sub.parent != r.gamma:
+        raise RamificationError("subgroup belongs to a different group")
+    memset = set(sub.members)
+    d_lm = sum(len(memset & r.members_at(i)) - 1 for i in range(len(r.filtration)))
+    return Fraction(r.f * (different_valuation(r) - d_lm), sub.order)

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from refartin.cli import main
 from refartin.cyclotomic import parse_value, from_rational
 
@@ -281,3 +283,19 @@ def test_malformed_value_term(tmp_path, capsys):
     job["reps"]["chi"]["values"] = [{"n": 0, "terms": []}, "-1"]
     path = write(tmp_path, "badval.json", job)
     assert main(["compute", path, "conductor", "chi"]) == 2
+
+
+
+@pytest.mark.parametrize("command", ["validate", "compute", "verify", "oracle"])
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "job.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    argv = {
+        "validate": ["validate", str(path)],
+        "compute": ["compute", str(path), "artin"],
+        "verify": ["verify", str(path)],
+        "oracle": ["oracle", "monogenic", str(path)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err
