@@ -114,7 +114,9 @@ def ramification_from_job(job: dict) -> RamificationData:
         gamma = build_group(sec["group"])
         filtration = sec.get("filtration", [])
         tame = None
-        if "tame" in sec and sec["tame"] is not None:
+        if sec.get("tame") is not None:
+            if not isinstance(sec["tame"], dict):
+                raise InputError("'tame' must be an object with 'generator' and 'exponent'")
             tame = (int(sec["tame"]["generator"]), int(sec["tame"]["exponent"]))
         return build_ramification(gamma, filtration, int(sec["p"]), tame)
     except KeyError as ex:
@@ -137,7 +139,9 @@ def rep_from_job(job: dict, name: str, data: RamificationData) -> ClassFunction:
     return ClassFunction(data.gamma, vals)
 
 
-def oracle_from_job(obj: dict) -> tuple[MonogenicOrder, list | None]:
+def oracle_from_job(obj) -> tuple[MonogenicOrder, list | None]:
+    if not isinstance(obj, dict):
+        raise InputError("order file must be a JSON object")
     sec = obj.get("oracle", obj)
     if not isinstance(sec, dict) or "f" not in sec:
         raise InputError("no oracle section (fields p, f, galois) found")

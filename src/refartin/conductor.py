@@ -205,9 +205,10 @@ def weil_restriction_check(
 
     Returns (lhs, rhs) for comparison.
     """
-    return _weil_restriction(
+    lhs, rhs, _ = _weil_restriction(
         r, sub, subgroup_data(r, sub), discriminant_valuation(r, sub), chi, on_unstable
     )
+    return lhs, rhs
 
 
 def _weil_restriction(
@@ -217,16 +218,15 @@ def _weil_restriction(
     disc: Fraction,
     chi: ClassFunction,
     on_unstable: str,
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Fraction, Fraction, Fraction]:
     """weil_restriction_check with the subgroup data and discriminant of
-    ``sub`` already computed."""
+    ``sub`` already computed; also returns conductor(L/M data, chi)."""
     if chi.group != sd.data.gamma:
         raise RamificationError("character must live on the subgroup's own group")
     lhs = conductor(r, pushforward(sub.inclusion, chi), on_unstable=on_unstable)
-    rhs = sd.f_mk * conductor(sd.data, chi, on_unstable=on_unstable) + Fraction(1, 2) * (
-        disc * to_rational(chi.value(0))
-    )
-    return lhs, rhs
+    c_sub = conductor(sd.data, chi, on_unstable=on_unstable)
+    rhs = sd.f_mk * c_sub + Fraction(1, 2) * (disc * to_rational(chi.value(0)))
+    return lhs, rhs, c_sub
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +369,14 @@ def verify_suite(r: RamificationData, *, advisory: bool = False) -> ConductorRep
             for k, chi_std in enumerate(qp_irreducibles_cyclic(sub.order, r.p)):
                 chi = transport_to_cyclic(chi_std, sd.data.gamma)
                 try:
-                    lhs_c, rhs_c = _weil_restriction(r, sub, sd, disc, chi, "error")
+                    lhs_c, rhs_c, c_sub = _weil_restriction(r, sub, sd, disc, chi, "error")
                     add("weil-restriction", f"{inputs} chi#{k}", rhs_c, lhs_c, prop_binding)
+                    # the stability gate never changes the value, so c_sub
+                    # is also the ungated conductor
                     add(
                         "averaging-consistency",
                         f"{inputs} chi#{k}",
-                        conductor(sd.data, chi, on_unstable="ignore"),
+                        c_sub,
                         conductor(sd.data, chi, averaged=True, on_unstable="ignore"),
                         True,
                     )

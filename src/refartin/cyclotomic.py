@@ -1,13 +1,27 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Values are stored in the power basis 1, z, ..., z^(phi(N)-1) of
-Q[X]/(Phi_N(X)) and always at the *smallest* conductor realizing them, so
-equality is plain coordinate equality.  Conductors congruent to 2 mod 4 are
-never used (Q(zeta_2m) = Q(zeta_m) for odd m); conductor-1 values are exactly
-the rationals.
+A value is stored in the power basis 1, z, ..., z^(phi(N)-1) of
+Q[X]/(Phi_N(X)) as a tuple of integer numerators over one positive common
+denominator, in lowest terms (the gcd of the denominator and all numerators
+is 1).  All arithmetic therefore runs on plain Python ints; ``coeffs`` is a
+read-only view of the coordinates as ``Fraction``.
+
+Values are always kept at the *smallest* conductor realizing them, so
+equality is plain equality of (conductor, numerators, denominator).
+Conductors congruent to 2 mod 4 are never used (Q(zeta_2m) = Q(zeta_m) for
+odd m); conductor-1 values are exactly the rationals.  The canonical form
+descends one prime at a time through cached integer matrices
+(:func:`_projection`): a few integer dot products decide whether the value
+lies in the subfield and, if it does, give its numerators there, so no
+linear system is ever solved.  The inverse is the product of the other
+Galois conjugates over the norm.
 
 Everything is immutable and pure; the per-conductor caches are filled
 idempotently, so concurrent use needs no synchronization.
+
+Hot paths build tuples and *-arguments from lists, not generators: CPython
+builds a tuple from a generator by resizing, and resized tuples pile up on
+its per-size free lists, which only a full garbage collection empties.
 
 No floating point is used anywhere.
 
@@ -22,14 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
-from ._linalg import field_kernel
-from ._poly import pexact_div, pinvmod, ptrim
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from ._poly import pexact_div
 
 
 class NotRationalError(ArithmeticError):
@@ -150,154 +162,201 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """X^j mod Phi_n for 0 <= j < n, as sparse (index, coeff) integer rows."""
+def _reduction_rows(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(phi(n), rows) with rows[e - phi(n)] the power-basis coordinates of
+    X^e mod Phi_n for phi(n) <= e < n."""
     phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
     rows = []
-    cur = [0] * d
-    cur[0] = 1
-    for _ in range(n):
-        rows.append(tuple((i, t) for i, t in enumerate(cur) if t))
-        top = cur[d - 1]
-        nxt = [0] + cur[:-1]
+    cur = [-c for c in phi[:-1]]  # X^d mod Phi_n
+    for _ in range(d, n):
+        rows.append(tuple(cur))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
         if top:
-            for i in range(d):
-                nxt[i] -= top * phi[i]
-        cur = nxt
-    return tuple(rows)
+            cur = [x - top * c for x, c in zip(cur, phi)]
+    return d, tuple(rows)
 
 
-def _reduce_raw(n: int, raw: dict[int, Fraction]) -> list[Fraction]:
-    """Reduce a sparse exponent->coefficient map into power-basis coordinates."""
-    table = _power_table(n)
-    out = [_F0] * euler_phi(n)
+def _mod_phi(n: int, v: list[int]) -> list[int]:
+    """The phi(n) power-basis coordinates of the integer polynomial v
+    (ascending; v may be modified) modulo Phi_n."""
+    d, rows = _reduction_rows(n)
+    if len(v) > n:  # X^n = 1
+        for start in range(n, len(v), n):
+            chunk = v[start : start + n]
+            v[: len(chunk)] = map(add, v[: len(chunk)], chunk)
+        del v[n:]
+    out = v[:d]
+    if len(out) < d:
+        out += [0] * (d - len(out))
+    for c, row in zip(v[d:], rows):
+        if c:
+            out = list(map(add, out, map(mul, row, repeat(c))))
+    return out
+
+
+def _reduce_raw(n: int, raw: dict[int, int]) -> list[int]:
+    """Power-basis numerators of sum c * X^e over a sparse exponent -> integer
+    map; exponents are taken mod n."""
+    v = [0] * n
     for e, c in raw.items():
-        if not c:
-            continue
-        for i, t in table[e % n]:
-            out[i] += c * t
-    return out
+        v[e % n] += c
+    return _mod_phi(n, v)
+
+
+def _lift(m: int, n: int, x: Sequence[int]) -> Sequence[int]:
+    """Numerators at conductor n of the value with numerators x at conductor
+    m, where m divides n (x itself when m == n)."""
+    if m == n:
+        return x
+    s = n // m
+    v = [0] * (s * (len(x) - 1) + 1)
+    v[::s] = x
+    return _mod_phi(n, v)
+
+
+def _mul_raw(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Numerators at conductor n of the product of two values given by their
+    numerators at conductor n."""
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b_terms:
+                conv[i + j] += x * y
+    return _mod_phi(n, conv)
+
+
+def _galois_raw(n: int, num: Sequence[int], k: int) -> list[int]:
+    """Numerators of the image under zeta_n -> zeta_n^k, k a unit mod n."""
+    v = [0] * n
+    for i, c in enumerate(num):
+        if c:
+            v[i * k % n] = c
+    return _mod_phi(n, v)
+
+
+_Rows = tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
-def _subfield_basis(n: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Power-basis coordinates (at conductor n) of zeta_m^j, j < phi(m)."""
-    step = n // m
-    out = []
-    for j in range(euler_phi(m)):
-        out.append(tuple(_reduce_raw(n, {(step * j) % n: _F1})))
-    return tuple(out)
+def _projection(n: int, m: int) -> tuple[_Rows, _Rows]:
+    """(P, K) for the subfield Q(zeta_m) of Q(zeta_n), where either m and
+    s = n/m are coprime or every prime of s divides m.  P is an integer left
+    inverse of the subfield's power basis (phi(m) rows of length phi(n)) and
+    K the nonzero rows of I - A P, A the basis: a value with numerators c at
+    conductor n lies in Q(zeta_m) exactly when K c = 0, and then P c are its
+    numerators at conductor m, over the same denominator.
+
+    If every prime of s divides m, Phi_n(X) = Phi_m(X^s) and zeta_m^j is the
+    basis vector z_n^(s j).  If gcd(m, s) = 1, Z[zeta_n] = Z[zeta_m] (x)
+    Z[zeta_s] and zeta_n = zeta_m^u zeta_s^v with u s + v m = 1, so
+    z_n^k = zeta_m^(k u) zeta_s^(k v); P keeps the zeta_s^0 component.  Both
+    are integral, so no denominator arises.
+    """
+    s, dn, dm = n // m, euler_phi(n), euler_phi(m)
+    cols = []  # P as columns: the Q(zeta_m) numerators of z_n^k
+    if gcd(s, m) == 1:
+        u, v = pow(s, -1, m), pow(m, -1, s)
+        one_part = [_mod_phi(s, [0] * b + [1])[0] for b in range(s)]
+        for k in range(dn):
+            w = one_part[k * v % s]
+            cols.append([w * t for t in _mod_phi(m, [0] * (k * u % m) + [1])])
+    else:
+        for k in range(dn):
+            col = [0] * dm
+            if k % s == 0:
+                col[k // s] = 1
+            cols.append(col)
+    p_rows = tuple(zip(*cols))
+    back = [_lift(m, n, col) for col in cols]  # columns of A P
+    k_rows = []
+    for i in range(dn):
+        row = tuple([(i == k) - back[k][i] for k in range(dn)])
+        if any(row):
+            k_rows.append(row)
+    return p_rows, tuple(k_rows)
 
 
-def _galois_raw(n: int, coeffs: Sequence[Fraction], k: int) -> list[Fraction]:
-    table = _power_table(n)
-    out = [_F0] * euler_phi(n)
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        for j, t in table[(i * k) % n]:
-            out[j] += c * t
-    return out
+def _descend(n: int, m: int, num: list[int]) -> list[int] | None:
+    """The numerators at conductor m of the value with numerators num at
+    conductor n, or None when the value does not lie in Q(zeta_m)."""
+    p_rows, k_rows = _projection(n, m)
+    for row in k_rows:
+        if sum(map(mul, row, num)):
+            return None
+    return [sum(map(mul, row, num)) for row in p_rows]
 
 
-@lru_cache(maxsize=None)
-def _kernel_generators(n: int, m: int) -> tuple[int, ...]:
-    """Generators of the kernel of (Z/n)* -> (Z/m)* (units congruent to 1 mod m)."""
-    gens: list[int] = []
-    closed = {1}
-    for k in range(1 + m, n, m):
-        if gcd(k, n) != 1 or k in closed:
-            continue
-        gens.append(k)
-        closed = closure(gens, lambda x, g: x * g % n, 1)
-    return tuple(gens)
-
-
-def _canonical(n: int, coeffs: Sequence[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
-    coeffs = list(coeffs)
+def _canonical(n: int, num: list[int]) -> tuple[int, list[int]]:
+    """The smallest conductor realizing the value with numerators num at
+    conductor n, and its numerators there (over the same denominator)."""
     # strip conductors congruent to 2 mod 4: zeta_2m = -zeta_m^((m+1)/2), m odd
-    while n % 4 == 2:
+    if n % 4 == 2:
         m = n // 2
         h = (m + 1) // 2
-        raw: dict[int, Fraction] = {}
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            e = (i * h) % m
-            s = -c if i % 2 else c
-            raw[e] = raw.get(e, _F0) + s
-        n, coeffs = m, _reduce_raw(m, raw)
-    if n == 1:
-        return 1, (coeffs[0] if coeffs else _F0,)
-    if not any(coeffs[1:]):
-        return 1, (coeffs[0],)
+        v = [0] * m
+        for i, c in enumerate(num):
+            if c:
+                v[i * h % m] += -c if i % 2 else c
+        n, num = m, _mod_phi(m, v)
     # descend one prime at a time while the value lies in the smaller field
-    changed = True
-    while changed and n > 1:
-        changed = False
+    while any(num[1:]):
         for q in prime_factors(n):
             m = n // q
-            while m % 4 == 2:
+            if m % 4 == 2:
                 m //= 2
-            if m == n:
-                continue
-            if not _fixed_by_subfield_group(n, coeffs, m):
-                continue
-            # coeffs = A x with A's columns the (independent) subfield basis:
-            # ker [A | coeffs] is empty or spanned by (-x, 1)
-            basis = _subfield_basis(n, m)
-            kernel = field_kernel(
-                [[b[i] for b in basis] + [c] for i, c in enumerate(coeffs)], _F1
-            )
-            if not kernel:
-                continue
-            n, coeffs = m, [-x for x in kernel[0][:-1]]
-            if n == 1:
-                return 1, (coeffs[0] if coeffs else _F0,)
-            if not any(coeffs[1:]):
-                return 1, (coeffs[0],)
-            changed = True
-            break
-    return n, tuple(coeffs)
+            x = _descend(n, m, num)
+            if x is not None:
+                n, num = m, x
+                break
+        else:
+            return n, num
+    return 1, num[:1]
 
 
-def _fixed_by_subfield_group(n: int, coeffs: Sequence[Fraction], m: int) -> bool:
-    """True iff the value is fixed by Gal(Q(zeta_n)/Q(zeta_m)); it suffices to
-    test a generating set of that subgroup."""
-    coeffs = list(coeffs)
-    for k in _kernel_generators(n, m):
-        if _galois_raw(n, coeffs, k) != coeffs:
-            return False
-    return True
+def _lowest(n: int, num: Sequence[int], den: int) -> "Cyclotomic":
+    """The value sum(num[i] z_n^i) / den, with n already its conductor."""
+    g = gcd(den, *num)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    return Cyclotomic(n, tuple(num), den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cyclotomic:
-    """An element of Q(zeta_N) in canonical form (minimal conductor).
+    """An element sum(num[i] * z^i) / den of Q(zeta_N), N = ``conductor``, in
+    canonical form: minimal conductor, den > 0, and lowest terms.
 
     Do not call the constructor with non-canonical data; use :func:`make_root`,
     :func:`from_rational` or :func:`from_terms`.
     """
 
     conductor: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        if self.conductor < 1 or len(self.coeffs) != euler_phi(self.conductor):
+        if self.conductor < 1 or len(self.num) != euler_phi(self.conductor) or self.den < 1:
             raise ValueError("coefficient vector does not match the conductor")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions (a read-only view)."""
+        return tuple([Fraction(c, self.den) for c in self.num])
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _new(n: int, coeffs: Sequence[Fraction]) -> "Cyclotomic":
-        cn, cc = _canonical(n, coeffs)
-        return Cyclotomic(cn, cc)
+    def _new(n: int, num: list[int], den: int) -> "Cyclotomic":
+        cn, cnum = _canonical(n, num)
+        return _lowest(cn, cnum, den)
 
     # -- predicates / extraction ------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -305,7 +364,7 @@ class Cyclotomic:
     def rational(self) -> Fraction:
         if self.conductor != 1:
             raise NotRationalError(f"value has conductor {self.conductor}, not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -314,29 +373,36 @@ class Cyclotomic:
         if isinstance(x, Cyclotomic):
             return x
         if isinstance(x, (int, Fraction)):
-            return Cyclotomic(1, (Fraction(x),))
+            q = Fraction(x)
+            return Cyclotomic(1, (q.numerator,), q.denominator)
         return NotImplemented  # type: ignore[return-value]
 
-    def _embed(self, n: int) -> list[Fraction]:
-        """Coordinates of self at conductor n (self.conductor must divide n)."""
-        if n == self.conductor:
-            return list(self.coeffs)
-        step = n // self.conductor
-        raw = {i * step: c for i, c in enumerate(self.coeffs) if c}
-        return _reduce_raw(n, raw)
+    def _embed(self, n: int) -> Sequence[int]:
+        """Numerators of self at conductor n (self.conductor must divide n)."""
+        return _lift(self.conductor, n, self.num)
+
+    def _scaled(self, p: int, q: int) -> "Cyclotomic":
+        """self * p / q for integers p and q > 0."""
+        if not p:
+            return ZERO
+        return _lowest(self.conductor, [c * p for c in self.num], self.den * q)
 
     def __add__(self, other) -> "Cyclotomic":
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
+        n = lcm(self.conductor, other.conductor)
         a, b = self._embed(n), other._embed(n)
-        return Cyclotomic._new(n, [x + y for x, y in zip(a, b)])
+        if self.den == other.den:
+            return Cyclotomic._new(n, list(map(add, a, b)), self.den)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return Cyclotomic._new(n, [x * fa + y * fb for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.conductor, tuple(-c for c in self.coeffs))
+        return Cyclotomic(self.conductor, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other) -> "Cyclotomic":
         other = Cyclotomic._coerce(other)
@@ -348,39 +414,40 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other) -> "Cyclotomic":
-        if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            if not s:
-                return ZERO
-            return Cyclotomic(self.conductor, tuple(c * s for c in self.coeffs))
+        if isinstance(other, int):
+            return self._scaled(other, 1)
+        if isinstance(other, Fraction):
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         if other.conductor == 1:
-            return self * other.coeffs[0]
+            return self._scaled(other.num[0], other.den)
         if self.conductor == 1:
-            return other * self.coeffs[0]
-        n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-        a, b = self._embed(n), other._embed(n)
-        conv: dict[int, Fraction] = {}
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    conv[i + j] = conv.get(i + j, _F0) + ca * cb
-        return Cyclotomic._new(n, _reduce_raw(n, conv))
+            return other._scaled(self.num[0], self.den)
+        n = lcm(self.conductor, other.conductor)
+        num = _mul_raw(n, self._embed(n), other._embed(n))
+        return Cyclotomic._new(n, num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        if self.conductor == 1:
-            return Cyclotomic(1, (1 / self.coeffs[0],))
-        phi = tuple(Fraction(c) for c in cyclotomic_polynomial(self.conductor))
-        inv = pinvmod(ptrim(self.coeffs), phi)
-        coeffs = list(inv) + [_F0] * (len(self.coeffs) - len(inv))
-        return Cyclotomic._new(self.conductor, coeffs)
+        n = self.conductor
+        if n == 1:
+            return Cyclotomic._coerce(1 / self.rational())
+        # 1/a = den * prod / N(num), where prod is the product of the
+        # conjugates of num under zeta -> zeta^k, k != 1, and the norm
+        # N(num) = num * prod is an integer; a and 1/a generate the same
+        # field, so the conductor stays
+        prod = [1] + [0] * (len(self.num) - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                prod = _mul_raw(n, prod, _galois_raw(n, self.num, k))
+        norm = _mul_raw(n, self.num, prod)[0]
+        if norm < 0:
+            prod, norm = [-c for c in prod], -norm
+        return _lowest(n, [c * self.den for c in prod], norm)
 
     def __truediv__(self, other) -> "Cyclotomic":
         other = Cyclotomic._coerce(other)
@@ -411,7 +478,9 @@ class Cyclotomic:
             return self
         if gcd(k, n) != 1:
             raise ValueError(f"{k} is not coprime to the conductor {n}")
-        return Cyclotomic(n, tuple(_galois_raw(n, self.coeffs, k % n)))
+        # an automorphism keeps the conductor and maps Z[zeta_N] onto itself,
+        # so the numerators stay in lowest terms
+        return Cyclotomic(n, tuple(_galois_raw(n, self.num, k % n)), self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """The automorphism zeta -> zeta^(-1); fixes rationals; an involution."""
@@ -439,19 +508,26 @@ class Cyclotomic:
         return f"Cyclotomic({self.conductor}, {list(self.coeffs)})"
 
 
-ZERO = Cyclotomic(1, (_F0,))
-ONE = Cyclotomic(1, (_F1,))
+ZERO = Cyclotomic(1, (0,))
+ONE = Cyclotomic(1, (1,))
 
 
 def make_root(n: int, k: int) -> Cyclotomic:
     """zeta_n^k in canonical form; make_root(n, 0) == 1."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    return Cyclotomic._new(n, _reduce_raw(n, {k % n: _F1}))
+    g = gcd(n, k)
+    n, k, sign = n // g, k // g, 1
+    if n % 4 == 2:  # zeta_2m = -zeta_m^((m+1)/2) for odd m, and k is odd
+        n //= 2
+        k, sign = k * ((n + 1) // 2), -1
+    # a primitive n-th root of unity has conductor n and is a unit of Z[zeta_n]
+    return Cyclotomic(n, tuple(_reduce_raw(n, {k: sign})), 1)
 
 
 def from_rational(q) -> Cyclotomic:
-    return Cyclotomic(1, (Fraction(q),))
+    q = Fraction(q)
+    return Cyclotomic(1, (q.numerator,), q.denominator)
 
 
 def to_rational(a: Cyclotomic) -> Fraction:
@@ -479,11 +555,11 @@ def frobenius_average(a: Cyclotomic, p: int) -> Cyclotomic:
     if p < 1 or gcd(p, n) != 1:
         raise ValueError(f"{p} is not coprime to the conductor {n}")
     r = multiplicative_order(p, n)
-    total, k = a, 1
+    total, k = list(a.num), 1
     for _ in range(r - 1):
         k = (k * p) % n
-        total = total + a.galois(k)
-    return total * Fraction(1, r)
+        total = list(map(add, total, _galois_raw(n, a.num, k)))
+    return Cyclotomic._new(n, total, a.den * r)
 
 
 def cyclo_sum(values: Iterable[Cyclotomic]) -> Cyclotomic:
@@ -491,24 +567,26 @@ def cyclo_sum(values: Iterable[Cyclotomic]) -> Cyclotomic:
     values = list(values)
     if not values:
         return ZERO
-    n = 1
+    n = lcm(*[v.conductor for v in values])
+    den = lcm(*[v.den for v in values])
+    acc = [0] * euler_phi(n)
     for v in values:
-        n = n * v.conductor // gcd(n, v.conductor)
-    acc = [_F0] * euler_phi(n)
-    for v in values:
-        for i, c in enumerate(v._embed(n)):
-            acc[i] += c
-    return Cyclotomic._new(n, acc)
+        acc = list(map(add, acc, map(mul, v._embed(n), repeat(den // v.den))))
+    return Cyclotomic._new(n, acc, den)
 
 
 def from_terms(n: int, terms: Iterable[tuple[int, Fraction]]) -> Cyclotomic:
     """Sum of coeff * zeta_n^k terms; accepts arbitrary exponents."""
+    if n < 1:
+        raise ValueError("conductor must be positive")
     raw: dict[int, Fraction] = {}
     for k, c in terms:
         c = Fraction(c)
         if c:
-            raw[k % n] = raw.get(k % n, _F0) + c
-    return Cyclotomic._new(n, _reduce_raw(n, raw)) if n > 1 else Cyclotomic(1, (raw.get(0, _F0),))
+            raw[k % n] = raw.get(k % n, Fraction(0)) + c
+    den = lcm(*[c.denominator for c in raw.values()])
+    raw_num = {k: c.numerator * (den // c.denominator) for k, c in raw.items()}
+    return Cyclotomic._new(n, _reduce_raw(n, raw_num), den)
 
 
 def parse_value(obj) -> Cyclotomic:

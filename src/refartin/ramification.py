@@ -313,7 +313,7 @@ def _tame_part_on_quotient(
     return ClassFunction(g0.group, vals)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def refined_artin(r: RamificationData) -> ClassFunction:
     """The refined Artin character, built from the lower-numbering filtration:
 
@@ -323,6 +323,11 @@ def refined_artin(r: RamificationData) -> ClassFunction:
 
     Values lie in Q(zeta_n); adding the valuewise conjugate gives back the
     Artin character.
+
+    Results are cached for the 64 most recently used data.  One
+    ``verify_suite`` run needs the datum itself plus one datum per subgroup
+    and per quotient, at most 34 on the curated fixtures and benchmark group
+    jobs, so a run never evicts its own entries.
     """
     g0 = r.subgroup_at(0)
     wild = tuple(sorted(g0.members.index(m) for m in r.members_at(1)))

@@ -299,3 +299,24 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["monogenic", "derive-fixture"])
+def test_order_file_that_is_not_an_object_is_an_input_error(tmp_path, capsys, command):
+    path = write(tmp_path, "order.json", [1, 2])
+    assert main(["oracle", command, path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["validate", "compute", "verify"])
+def test_tame_that_is_not_an_object_is_an_input_error(tmp_path, capsys, command):
+    job = json.loads(json.dumps(TAME4_JOB))
+    job["ramification"]["tame"] = 5
+    path = write(tmp_path, "tame5.json", job)
+    argv = {
+        "validate": ["validate", path],
+        "compute": ["compute", path, "bar"],
+        "verify": ["verify", path],
+    }[command]
+    assert main(argv) == 2
+    assert "'tame' must be an object" in capsys.readouterr().err

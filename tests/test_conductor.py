@@ -224,6 +224,25 @@ def test_verify_suite_advisory_flagging():
     assert found_advisory
 
 
+def test_verify_suite_computes_each_conductor_once(monkeypatch):
+    import sys
+
+    module = sys.modules["refartin.conductor"]
+    calls = []
+
+    def counting(r, chi, *, averaged=False, on_unstable="warn"):
+        calls.append((r, chi, averaged))
+        return conductor(r, chi, averaged=averaged, on_unstable=on_unstable)
+
+    monkeypatch.setattr(module, "conductor", counting)
+    r = tame_cyclic(12, 13)
+    verify_suite(r)
+    # for H = G both sides of the Weil identity pair chi with r itself, so
+    # only the subextension data are checked for repeats
+    on_subdata = [call for call in calls if call[0] != r]
+    assert on_subdata and len(set(on_subdata)) == len(on_subdata)
+
+
 def test_report_records_are_exact_and_serializable():
     import json
 

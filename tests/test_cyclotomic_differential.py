@@ -1,0 +1,144 @@
+"""The integer-coordinate cyclotomic core against the earlier Fraction kernel
+kept in ``cyclotomic_reference.py``, and its products and inverses against
+sympy.
+
+Operands are drawn at divisors of one conductor n <= 60 (conductors
+congruent to 2 mod 4 included), so every sum and product stays at most at n.
+Each result must be in canonical form and equal the reference's.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cyclotomic_reference as ref
+from refartin.cyclotomic import (
+    Cyclotomic,
+    cyclo_sum,
+    divisors,
+    frobenius_average,
+    from_terms,
+    make_root,
+)
+
+rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=1, max_value=9),
+)
+
+
+def pair(a: Cyclotomic):
+    return a.conductor, a.coeffs
+
+
+@st.composite
+def terms_at(draw, m):
+    """Terms sum c * zeta_m^k with arbitrary (also negative) exponents."""
+    return draw(
+        st.lists(
+            st.tuples(st.integers(min_value=-3 * m, max_value=3 * m), rationals),
+            max_size=5,
+        )
+    )
+
+
+@st.composite
+def operands(draw, count=2):
+    """A conductor n <= 60 and ``count`` (m, terms) with m dividing n."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    out = []
+    for _ in range(count):
+        m = draw(st.sampled_from(divisors(n)))
+        out.append((m, draw(terms_at(m))))
+    return n, out
+
+
+def build(m, terms):
+    a = from_terms(m, terms)
+    assert pair(a) == ref.from_terms(m, terms)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands(count=3))
+def test_from_terms_sums_and_products_match_reference(ops):
+    _, ((ma, ta), (mb, tb), (mc, tc)) = ops
+    a, b, c = build(ma, ta), build(mb, tb), build(mc, tc)
+    ra, rb, rc = pair(a), pair(b), pair(c)
+    assert pair(a + b) == ref.add(ra, rb)
+    assert pair(a - b) == ref.add(ra, ref.mul((1, (Fraction(-1),)), rb))
+    assert pair(a * b) == ref.mul(ra, rb)
+    assert pair(a * b + c) == ref.add(ref.mul(ra, rb), rc)
+    assert pair(cyclo_sum([a, b, c])) == ref.add(ref.add(ra, rb), rc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(count=1), st.integers(min_value=1, max_value=200))
+def test_galois_and_frobenius_average_match_reference(ops, k):
+    _, ((m, terms),) = ops
+    a = build(m, terms)
+    n = a.conductor
+    unit = next(u for u in range(k, k + 2 * n + 1) if gcd(u, n) == 1)
+    assert pair(a.galois(unit)) == ref.galois(pair(a), unit)
+    assert pair(frobenius_average(a, unit)) == ref.frobenius_average(pair(a), unit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(count=2))
+def test_inverse_is_canonical_and_inverts(ops):
+    _, ((ma, ta), (mb, tb)) = ops
+    a = build(ma, ta) * build(mb, tb) + 1
+    if not a:
+        return
+    inv = a.inverse()
+    assert pair(inv) == ref.canonical(inv.conductor, inv.coeffs)
+    assert ref.mul(pair(a), pair(inv)) == (1, (Fraction(1),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(count=1), st.integers(min_value=1, max_value=6))
+def test_values_from_subfields_descend(ops, extra):
+    """zeta_m^k written at conductor m * extra lands where the reference does."""
+    _, ((m, terms),) = ops
+    big = m * extra
+    lifted = [(k * extra, c) for k, c in terms]
+    assert pair(from_terms(big, lifted)) == ref.from_terms(big, lifted) == pair(build(m, terms))
+
+
+def test_roots_of_unity_match_reference():
+    for n in range(1, 61):
+        for k in range(-n, n + 2):
+            assert pair(make_root(n, k)) == ref.from_terms(n, [(k, 1)]), (n, k)
+
+
+@pytest.mark.parametrize("n", [5, 8, 12, 15, 20, 21, 36, 60])
+def test_products_and_inverses_match_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain="QQ")
+    samples = [
+        [(0, 1), (1, 2)],
+        [(1, Fraction(3, 2)), (3, -1), (n - 1, Fraction(1, 5))],
+        [(0, 7), (2, -3), (5, Fraction(2, 3)), (n // 2, 1)],
+    ]
+
+    def to_sympy(terms):
+        expr = sum(sympy.Rational(str(c)) * x ** (k % n) for k, c in terms)
+        return sympy.Poly(expr, x, domain="QQ")
+
+    def from_sympy(poly):
+        coeffs = poly.all_coeffs()[::-1]
+        return from_terms(n, [(i, Fraction(int(c.p), int(c.q))) for i, c in enumerate(coeffs)])
+
+    for terms in samples:
+        a = from_terms(n, terms)
+        if not a:
+            continue
+        pa = to_sympy(terms)
+        assert a.inverse() == from_sympy(sympy.invert(pa, phi))
+        for other in samples:
+            assert a * from_terms(n, other) == from_sympy((pa * to_sympy(other)).rem(phi))
