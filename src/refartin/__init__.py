@@ -8,13 +8,10 @@ floating point appears anywhere.
 from .cyclotomic import (
     Cyclotomic,
     NotRationalError,
-    conjugate,
     frobenius_average,
     from_rational,
-    galois_apply,
     make_root,
     parse_value,
-    to_rational,
 )
 from .grouptheory import (
     ClassFunction,
@@ -25,11 +22,10 @@ from .grouptheory import (
     abelian_irreducibles,
     build_group,
     hom,
-    inflate,
     pair,
+    pullback,
     pushforward,
     quotient,
-    restrict,
     standard_characters,
     subgroup,
 )

@@ -52,6 +52,8 @@ from .ramification import (
     refined_artin,
 )
 from .conductor import (
+    ConductorReport,
+    ReportRecord,
     StabilityError,
     artin_conductor,
     conductor,
@@ -125,9 +127,10 @@ def ramification_from_job(job: dict) -> RamificationData:
 
 def rep_from_job(job: dict, name: str, data: RamificationData) -> ClassFunction:
     reps = job.get("reps", {})
-    if name not in reps:
+    if not isinstance(reps, dict) or name not in reps:
         raise InputError(f"no representation named {name!r} in the job file")
-    values = reps[name].get("values")
+    rep = reps[name]
+    values = rep.get("values") if isinstance(rep, dict) else None
     if not isinstance(values, list):
         raise InputError(f"representation {name!r} has no 'values' array")
     vals = tuple(parse_value(v) for v in values)
@@ -182,12 +185,9 @@ def _emit_class_function(chi: ClassFunction, fmt: str, out) -> None:
 
 
 def cmd_validate(args) -> int:
+    job = load_job(args.path)
     try:
-        job = load_job(args.path)
         ramification_from_job(job)
-    except InputError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (RamificationError, GroupValidationError, ValueError) as ex:
         print(f"invalid: {ex}", file=sys.stderr)
         return EXIT_BINDING_FAILURE
@@ -196,18 +196,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compute(args) -> int:
-    try:
-        job = load_job(args.path)
-        data = ramification_from_job(job)
-    except (InputError, RamificationError, GroupValidationError, ValueError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    options = job.get("options", {})
-    averaged = args.p_average or bool(options.get("p_average"))
-    strict = args.strict_rational or bool(options.get("strict_rational"))
-    on_unstable = "error" if strict else "warn"
+    job = load_job(args.path)
     what, rest = args.what, args.args
     try:
+        data = ramification_from_job(job)
+        options = job.get("options", {})
+        averaged = args.p_average or bool(options.get("p_average"))
+        strict = args.strict_rational or bool(options.get("strict_rational"))
+        on_unstable = "error" if strict else "warn"
         if what == "artin":
             _emit_class_function(artin_character(data), args.format, sys.stdout)
         elif what in ("bar", "bar-avg"):  # bar-avg is bar --p-average
@@ -231,9 +227,6 @@ def cmd_compute(args) -> int:
             print(discriminant_valuation(data, subgroup(data.gamma, members)))
         else:
             raise InputError(f"unknown computation {what!r}")
-    except InputError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (NotRationalError, StabilityError) as ex:
         print(f"computation error: {ex}", file=sys.stderr)
         return EXIT_COMPUTE_ERROR
@@ -250,25 +243,17 @@ def _one_arg(rest: list[str], usage: str) -> str:
 
 
 def cmd_verify(args) -> int:
+    job = load_job(args.path)
     try:
-        data = ramification_from_job(load_job(args.path))
-    except InputError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        data = ramification_from_job(job)
     except (RamificationError, GroupValidationError, ValueError) as ex:
         # admissibility is the zeroth binding check
-        record = {
-            "name": "admissibility",
-            "inputs": args.path,
-            "expected": "valid ramification data",
-            "computed": f"error: {ex}",
-            "passed": False,
-            "binding": True,
-        }
-        print(json.dumps(record, sort_keys=True))
-        print("1 checks: 0 passed, 1 binding failures, 0 advisory failures", file=sys.stderr)
-        return EXIT_BINDING_FAILURE
-    report = verify_suite(data, advisory=args.advisory)
+        record = ReportRecord(
+            "admissibility", args.path, "valid ramification data", f"error: {ex}", False, True
+        )
+        report = ConductorReport((record,))
+    else:
+        report = verify_suite(data, advisory=args.advisory)
     for rec in report.records:
         print(rec.to_json())
     print(report.summary(), file=sys.stderr)
@@ -309,7 +294,7 @@ def cmd_oracle(args) -> int:
                 print(text)
         else:
             raise InputError(f"unknown oracle subcommand {sub!r}")
-    except (InputError, OSError) as ex:  # OSError: writing the -o file
+    except OSError as ex:  # writing the -o file
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (OracleError, ValueError) as ex:
@@ -377,7 +362,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 def entrypoint() -> None:

@@ -24,22 +24,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import Cyclotomic, NotRationalError, closure, cyclo_sum, make_root, to_rational
+from .cyclotomic import Cyclotomic, NotRationalError, closure, cyclo_sum, make_root
 from .grouptheory import (
     ClassFunction,
     FiniteGroup,
     GroupHom,
     Subgroup,
     all_subgroups,
-    augmentation_character,
     cyclic_group,
     pair,
     pushforward,
     pullback,
     quotient,
-    regular_character,
-    restrict,
-    trivial_character,
+    standard_characters,
 )
 from .ramification import (
     RamificationData,
@@ -103,14 +100,14 @@ def conductor(
     bar = refined_artin(r)
     if averaged:
         bar = p_average(bar, r.p, r.n)
-    return to_rational(pair(bar, chi))
+    return pair(bar, chi).rational()
 
 
 def artin_conductor(r: RamificationData, chi: ClassFunction) -> Fraction:
     """(artin_character(r) | chi); equals conductor(chi) + conductor(conj chi)."""
     if chi.group != r.gamma:
         raise RamificationError("character lives on a different group")
-    return to_rational(pair(artin_character(r), chi))
+    return pair(artin_character(r), chi).rational()
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +151,8 @@ def qp_irreducibles_cyclic(n: int, p: int) -> list[ClassFunction]:
             continue
         orbit = sorted({(a * u) % n for u in orbit_group})
         seen.update(orbit)
-        values = tuple(
-            cyclo_sum(make_root(n, rr * g) for rr in orbit) for g in range(n)
-        )
-        out.append(ClassFunction(group, values))
+        values = [cyclo_sum([make_root(n, rr * g) for rr in orbit]) for g in range(n)]
+        out.append(ClassFunction(group, tuple(values)))
     return out
 
 
@@ -225,7 +220,7 @@ def _weil_restriction(
         raise RamificationError("character must live on the subgroup's own group")
     lhs = conductor(r, pushforward(sub.inclusion, chi), on_unstable=on_unstable)
     c_sub = conductor(sd.data, chi, on_unstable=on_unstable)
-    rhs = sd.f_mk * c_sub + Fraction(1, 2) * (disc * to_rational(chi.value(0)))
+    rhs = sd.f_mk * c_sub + Fraction(1, 2) * (disc * chi.value(0).rational())
     return lhs, rhs, c_sub
 
 
@@ -318,7 +313,7 @@ def verify_suite(r: RamificationData, *, advisory: bool = False) -> ConductorRep
             "bar-pairing",
             f"n={n} r={rr}",
             Fraction(rr, n),
-            to_rational(pair(bar_n(n), power_character(n, rr))),
+            pair(bar_n(n), power_character(n, rr)).rational(),
             True,
         )
     bar = refined_artin(r)
@@ -358,13 +353,14 @@ def verify_suite(r: RamificationData, *, advisory: bool = False) -> ConductorRep
                                      f"error: {ex}", False, prop_binding))
             continue
         disc = discriminant_valuation(r, sub)
-        lhs = restrict(sub.inclusion, bar_avg)
+        reg_h, triv_h, _ = standard_characters(sub.group)
+        lhs = pullback(sub.inclusion, bar_avg)
         rhs = p_average(refined_artin(sd.data), sd.data.p, sd.data.n).scale(sd.f_mk)
-        rhs = rhs + regular_character(sub.group).scale(Fraction(1, 2) * disc)
+        rhs = rhs + reg_h.scale(Fraction(1, 2) * disc)
         add("subgroup-restriction", inputs, _enc_cf(rhs), _enc_cf(lhs), prop_binding,
             ok=lhs.values == rhs.values)
-        ind1 = pushforward(sub.inclusion, trivial_character(sub.group))
-        add("conductor-discriminant", inputs, disc, to_rational(pair(ar, ind1)), True)
+        ind1 = pushforward(sub.inclusion, triv_h)
+        add("conductor-discriminant", inputs, disc, pair(ar, ind1).rational(), True)
         if sub.group.is_cyclic():
             for k, chi_std in enumerate(qp_irreducibles_cyclic(sub.order, r.p)):
                 chi = transport_to_cyclic(chi_std, sd.data.gamma)
@@ -398,6 +394,7 @@ def _bar_relation_records(recs: list[ReportRecord], n: int, d: int) -> None:
     """The four relations tying bar_n to bar_{nd} (exact, always binding)."""
     bn, bnd = bar_n(n), bar_n(n * d)
     cn, cnd = bn.group, bnd.group
+    reg, triv, aug = standard_characters(cn)
 
     def add(name, expected_cf, computed_cf):
         recs.append(
@@ -411,15 +408,15 @@ def _bar_relation_records(recs: list[ReportRecord], n: int, d: int) -> None:
             )
         )
 
-    one_pair = to_rational(pair(bn, trivial_character(cn)))
+    one_pair = pair(bn, triv).rational()
     recs.append(ReportRecord("bar-orthogonal-to-1", f"n={n} d={d}", "0", str(one_pair),
                              one_pair == 0, True))
-    add("bar-bisection", augmentation_character(cn), bn + bn.conjugate())
+    add("bar-bisection", aug, bn + bn.conjugate())
     power_map = GroupHom(cnd, cn, tuple(a % n for a in range(n * d)))
     add("bar-pushforward-compat", bn, pushforward(power_map, bnd))
     incl = GroupHom(cn, cnd, tuple((a * d) % (n * d) for a in range(n)))
     add(
         "bar-restriction-compat",
-        bn + regular_character(cn).scale(Fraction(d - 1, 2)),
+        bn + reg.scale(Fraction(d - 1, 2)),
         pullback(incl, bnd),
     )

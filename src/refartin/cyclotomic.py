@@ -362,6 +362,7 @@ class Cyclotomic:
         return self.conductor == 1
 
     def rational(self) -> Fraction:
+        """Extract a rational value; raises NotRationalError otherwise."""
         if self.conductor != 1:
             raise NotRationalError(f"value has conductor {self.conductor}, not rational")
         return Fraction(self.num[0], self.den)
@@ -528,19 +529,6 @@ def make_root(n: int, k: int) -> Cyclotomic:
 def from_rational(q) -> Cyclotomic:
     q = Fraction(q)
     return Cyclotomic(1, (q.numerator,), q.denominator)
-
-
-def to_rational(a: Cyclotomic) -> Fraction:
-    """Extract a rational value; raises NotRationalError otherwise."""
-    return a.rational()
-
-
-def galois_apply(a: Cyclotomic, k: int) -> Cyclotomic:
-    return a.galois(k)
-
-
-def conjugate(a: Cyclotomic) -> Cyclotomic:
-    return a.conjugate()
 
 
 def frobenius_average(a: Cyclotomic, p: int) -> Cyclotomic:

@@ -228,12 +228,6 @@ class GroupHom:
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == self.source.order
 
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == self.target.order
-
-    def __call__(self, g: int) -> int:
-        return self.mapping[g]
-
 
 def hom(source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int]) -> GroupHom:
     return GroupHom(source, target, tuple(mapping))
@@ -262,6 +256,11 @@ class Subgroup:
         mem = tuple(sorted(set(self.members)))
         if not mem or mem[0] != 0:
             raise GroupValidationError("subgroup must contain the identity (index 0)")
+        if mem[-1] >= self.parent.order:
+            raise GroupValidationError(
+                f"subgroup member {mem[-1]} is not an element of a group of order "
+                f"{self.parent.order}"
+            )
         memset = set(mem)
         for a in mem:
             if self.parent.inverse[a] not in memset:
@@ -367,25 +366,25 @@ class ClassFunction:
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         _same_group(self, other)
-        return ClassFunction(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
+        return ClassFunction(self.group, tuple([a + b for a, b in zip(self.values, other.values)]))
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         _same_group(self, other)
-        return ClassFunction(self.group, tuple(a - b for a, b in zip(self.values, other.values)))
+        return ClassFunction(self.group, tuple([a - b for a, b in zip(self.values, other.values)]))
 
     def __neg__(self) -> "ClassFunction":
-        return ClassFunction(self.group, tuple(-a for a in self.values))
+        return ClassFunction(self.group, tuple([-a for a in self.values]))
 
     def scale(self, s) -> "ClassFunction":
         if isinstance(s, (int, Fraction)):
             s = from_rational(s)
-        return ClassFunction(self.group, tuple(a * s for a in self.values))
+        return ClassFunction(self.group, tuple([a * s for a in self.values]))
 
     def __mul__(self, other) -> "ClassFunction":
         if isinstance(other, ClassFunction):
             _same_group(self, other)
             return ClassFunction(
-                self.group, tuple(a * b for a, b in zip(self.values, other.values))
+                self.group, tuple([a * b for a, b in zip(self.values, other.values)])
             )
         return self.scale(other)
 
@@ -393,7 +392,7 @@ class ClassFunction:
 
     def conjugate(self) -> "ClassFunction":
         """Valuewise cyclotomic conjugation zeta -> zeta^(-1)."""
-        return ClassFunction(self.group, tuple(v.conjugate() for v in self.values))
+        return ClassFunction(self.group, tuple([v.conjugate() for v in self.values]))
 
     def is_zero(self) -> bool:
         return not any(self.values)
@@ -420,42 +419,18 @@ def standard_characters(g: FiniteGroup) -> tuple[ClassFunction, ClassFunction, C
     """(regular, trivial, augmentation) characters of g."""
     one = from_rational(1)
     reg = ClassFunction(
-        g, tuple(from_rational(g.order) if cls[0] == 0 else ZERO for cls in g.classes)
+        g, tuple([from_rational(g.order) if cls[0] == 0 else ZERO for cls in g.classes])
     )
-    triv = ClassFunction(g, tuple(one for _ in g.classes))
+    triv = ClassFunction(g, (one,) * len(g.classes))
     return reg, triv, reg - triv
-
-
-def regular_character(g: FiniteGroup) -> ClassFunction:
-    return standard_characters(g)[0]
-
-
-def trivial_character(g: FiniteGroup) -> ClassFunction:
-    return standard_characters(g)[1]
-
-
-def augmentation_character(g: FiniteGroup) -> ClassFunction:
-    return standard_characters(g)[2]
 
 
 def pullback(alpha: GroupHom, chi: ClassFunction) -> ClassFunction:
     """chi o alpha, a central function on the source."""
     if chi.group != alpha.target:
         raise GroupValidationError("class function not on the hom target")
-    vals = tuple(chi.value(alpha.mapping[cls[0]]) for cls in alpha.source.classes)
-    return ClassFunction(alpha.source, vals)
-
-
-def restrict(alpha: GroupHom, chi: ClassFunction) -> ClassFunction:
-    if not alpha.is_injective():
-        raise GroupValidationError("restriction requires an injective homomorphism")
-    return pullback(alpha, chi)
-
-
-def inflate(alpha: GroupHom, chi: ClassFunction) -> ClassFunction:
-    if not alpha.is_surjective():
-        raise GroupValidationError("inflation requires a surjective homomorphism")
-    return pullback(alpha, chi)
+    vals = [chi.value(alpha.mapping[cls[0]]) for cls in alpha.source.classes]
+    return ClassFunction(alpha.source, tuple(vals))
 
 
 def pushforward(alpha: GroupHom, chi: ClassFunction) -> ClassFunction:

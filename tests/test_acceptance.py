@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from refartin.cyclotomic import ZERO, to_rational
+from refartin.cyclotomic import ZERO
 from refartin.conductor import (
     conductor,
     qp_irreducibles_cyclic,
@@ -28,15 +28,12 @@ from refartin.grouptheory import (
     GroupHom,
     all_normal_subgroups,
     all_subgroups,
-    augmentation_character,
     cyclic_group,
     pair,
     pullback,
     pushforward,
     quotient,
-    regular_character,
-    restrict,
-    trivial_character,
+    standard_characters,
 )
 from refartin.oracle import oracle_monogenic_clin, oracle_tame_clin, regular_action
 from refartin.ramification import (
@@ -91,10 +88,11 @@ def test_criterion_01_bar_relation_battery():
         checked = 0
         for n in range(1, 25):
             cn = cyclic_group(n)
+            reg, triv, aug = standard_characters(cn)
             bn = bar_n(n)
-            assert pair(bn, trivial_character(cn)) == ZERO  # (i)
-            assert pair(bn.conjugate(), trivial_character(cn)) == ZERO
-            assert (bn + bn.conjugate()).values == augmentation_character(cn).values  # (ii)
+            assert pair(bn, triv) == ZERO  # (i)
+            assert pair(bn.conjugate(), triv) == ZERO
+            assert (bn + bn.conjugate()).values == aug.values  # (ii)
             for d in range(1, 6):
                 nd = n * d
                 cnd = cyclic_group(nd)
@@ -102,7 +100,7 @@ def test_criterion_01_bar_relation_battery():
                 power_map = GroupHom(cnd, cn, tuple(a % n for a in range(nd)))  # (iii)
                 assert pushforward(power_map, bnd).values == bn.values
                 incl = GroupHom(cn, cnd, tuple((a * d) % nd for a in range(n)))  # (iv)
-                expected = bn + regular_character(cn).scale(Fraction(d - 1, 2))
+                expected = bn + reg.scale(Fraction(d - 1, 2))
                 assert pullback(incl, bnd).values == expected.values
                 checked += 1
         c.detail = f"({checked} (n, d) pairs, exact)"
@@ -115,7 +113,7 @@ def test_criterion_02_bar_pairing_values():
         for n in range(1, 25):
             bn = bar_n(n)
             for r in range(n):
-                assert to_rational(pair(bn, power_character(n, r))) == Fraction(r, n)
+                assert pair(bn, power_character(n, r)).rational() == Fraction(r, n)
                 count += 1
         c.detail = f"({count} pairings, exact)"
 
@@ -158,9 +156,9 @@ def test_criterion_05_pushforward_and_restriction(fixtures, random_data):
             bar_avg = p_average(bar, r.p, r.n)
             for sub in all_subgroups(r.gamma):
                 sd = subgroup_data(r, sub)
-                lhs = restrict(sub.inclusion, bar_avg)
+                lhs = pullback(sub.inclusion, bar_avg)
                 rhs = p_average(refined_artin(sd.data), sd.data.p, sd.data.n).scale(sd.f_mk)
-                rhs = rhs + regular_character(sub.group).scale(
+                rhs = rhs + standard_characters(sub.group)[0].scale(
                     Fraction(1, 2) * discriminant_valuation(r, sub)
                 )
                 assert lhs.values == rhs.values, (name, sub.members)
@@ -189,8 +187,8 @@ def test_criterion_06_conductor_discriminant(fixtures, random_data):
             for r in collection:
                 ar = artin_character(r)
                 for sub in all_subgroups(r.gamma):
-                    ind1 = pushforward(sub.inclusion, trivial_character(sub.group))
-                    assert to_rational(pair(ar, ind1)) == discriminant_valuation(r, sub)
+                    ind1 = pushforward(sub.inclusion, standard_characters(sub.group)[1])
+                    assert pair(ar, ind1).rational() == discriminant_valuation(r, sub)
                     count += 1
         c.detail = f"({count} subgroup instances, exact)"
 
@@ -225,7 +223,7 @@ def test_criterion_08_worked_quadratic_example():
         assert c_chi == Fraction(1, 2)
         assert c_reg == Fraction(3, 2)
         data = quad_sqrt2()
-        assert conductor(data, regular_character(data.gamma)) == Fraction(3, 2)
+        assert conductor(data, standard_characters(data.gamma)[0]) == Fraction(3, 2)
         c_triv = oracle_monogenic_clin(o, [[[1]], [[1]]])
         # the regular lattice and (trivial + sign) are isogenous yet differ:
         assert c_reg != c_triv + c_chi
@@ -239,7 +237,7 @@ def test_criterion_09_regular_module_triple_agreement():
             order = cyclotomic_tower_order(p, k)
             data = cyclotomic_tower_data(p, k)
             a = oracle_monogenic_clin(order, regular_action(order.group))
-            b = conductor(data, regular_character(data.gamma))
+            b = conductor(data, standard_characters(data.gamma)[0])
             half = Fraction(different_valuation(data), 2)
             assert a == b == half, (p, k, a, b, half)
 

@@ -320,3 +320,32 @@ def test_tame_that_is_not_an_object_is_an_input_error(tmp_path, capsys, command)
     }[command]
     assert main(argv) == 2
     assert "'tame' must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("validate", 1), ("compute", 2), ("verify", 1), ("disc", 2)],
+)
+def test_subgroup_member_outside_the_group(tmp_path, capsys, command, code):
+    job = json.loads(json.dumps(QUAD_JOB))
+    if command != "disc":
+        job["ramification"]["filtration"] = [[0, 1], [0, 99]]
+    path = write(tmp_path, "member99.json", job)
+    argv = {
+        "validate": ["validate", path],
+        "compute": ["compute", path, "bar"],
+        "verify": ["verify", path],
+        "disc": ["compute", path, "disc", "0,5"],
+    }[command]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "is not an element of a group of order 2" in captured.out + captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_rep_that_is_not_an_object_is_an_input_error(tmp_path, capsys):
+    job = json.loads(json.dumps(QUAD_JOB))
+    job["reps"] = {"c": [1]}
+    path = write(tmp_path, "rep_list.json", job)
+    assert main(["compute", path, "conductor", "c"]) == 2
+    assert "representation 'c' has no 'values' array" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from refartin.cyclotomic import NotRationalError, ONE, ZERO, from_rational, to_rational
+from refartin.cyclotomic import NotRationalError, ONE, ZERO, from_rational
 from refartin.conductor import (
     StabilityError,
     artin_conductor,
@@ -21,9 +21,8 @@ from refartin.grouptheory import (
     all_subgroups,
     cyclic_group,
     pair,
-    regular_character,
+    standard_characters,
     subgroup,
-    trivial_character,
 )
 from refartin.ramification import (
     discriminant_valuation,
@@ -47,7 +46,7 @@ def quad_chi():
 def test_conductor_examples():
     q = quad_sqrt2()
     assert conductor(q, quad_chi()) == Fraction(3, 2)
-    assert conductor(q, trivial_character(q.gamma)) == 0
+    assert conductor(q, standard_characters(q.gamma)[1]) == 0
     for n, p in [(4, 5), (6, 7), (9, 19)]:
         t = tame_cyclic(n, p)
         for r in range(n):
@@ -81,7 +80,7 @@ def test_conductor_additive_and_regular_value():
             r, a, on_unstable="ignore"
         ) + conductor(r, b, on_unstable="ignore")
         # conductor of the regular character = half the full discriminant valuation
-        assert conductor(r, regular_character(r.gamma)) == Fraction(1, 2) * (
+        assert conductor(r, standard_characters(r.gamma)[0]) == Fraction(1, 2) * (
             discriminant_valuation(r, subgroup(r.gamma, [0]))
         )
 
@@ -89,8 +88,8 @@ def test_conductor_additive_and_regular_value():
 def test_artin_conductor_examples():
     q = quad_sqrt2()
     assert artin_conductor(q, quad_chi()) == 3
-    assert artin_conductor(q, trivial_character(q.gamma)) == 0
-    assert artin_conductor(q, regular_character(q.gamma)) == 3
+    assert artin_conductor(q, standard_characters(q.gamma)[1]) == 0
+    assert artin_conductor(q, standard_characters(q.gamma)[0]) == 3
     # bisection at the pairing level
     for r in [quad_sqrt2(), mixed_c6(), tame_cyclic(8, 3)]:
         for chi_std in qp_irreducibles_cyclic(r.gamma.order, r.p):
@@ -104,17 +103,17 @@ def test_artin_conductor_examples():
 
 
 def test_qp_irreducibles_examples():
-    degrees = sorted(to_rational(ch.value(0)) for ch in qp_irreducibles_cyclic(4, 3))
+    degrees = sorted(ch.value(0).rational() for ch in qp_irreducibles_cyclic(4, 3))
     assert degrees == [1, 1, 2]
     assert all(
-        to_rational(ch.value(0)) == 1 for ch in qp_irreducibles_cyclic(3, 7)
+        ch.value(0).rational() == 1 for ch in qp_irreducibles_cyclic(3, 7)
     )
     assert len(qp_irreducibles_cyclic(1, 5)) == 1
-    assert sorted(to_rational(ch.value(0)) for ch in qp_irreducibles_cyclic(12, 2)) == [
+    assert sorted(ch.value(0).rational() for ch in qp_irreducibles_cyclic(12, 2)) == [
         1, 1, 2, 2, 2, 4,
     ]
     # wild part: X^(p^k) - 1 factors through the p-power cyclotomic polynomials
-    assert sorted(to_rational(ch.value(0)) for ch in qp_irreducibles_cyclic(9, 3)) == [1, 2, 6]
+    assert sorted(ch.value(0).rational() for ch in qp_irreducibles_cyclic(9, 3)) == [1, 2, 6]
 
 
 def test_qp_irreducibles_orthogonal_and_sum_to_regular():
@@ -129,10 +128,10 @@ def test_qp_irreducibles_orthogonal_and_sum_to_regular():
                 v = pair(a, b)
                 if i == j:
                     # self-pairing = orbit size = field degree of the factor
-                    assert to_rational(v) == to_rational(a.value(0))
+                    assert v.rational() == a.value(0).rational()
                 else:
                     assert v == ZERO
-        assert total.values == regular_character(g).values
+        assert total.values == standard_characters(g)[0].values
 
 
 # -- Weil restriction ---------------------------------------------------------------
@@ -144,7 +143,7 @@ def test_weil_restriction_examples():
     lhs, rhs = weil_restriction_check(q, full, quad_chi())
     assert lhs == rhs == Fraction(3, 2)
     triv = subgroup(q.gamma, [0])
-    lhs, rhs = weil_restriction_check(q, triv, trivial_character(triv.group))
+    lhs, rhs = weil_restriction_check(q, triv, standard_characters(triv.group)[1])
     assert lhs == rhs == Fraction(3, 2)  # 0 + (1/2) * 3 * 1
     m = mixed_c6()
     sub3 = subgroup(m.gamma, [0, 2, 4])
@@ -153,7 +152,7 @@ def test_weil_restriction_examples():
         next(
             ch
             for ch in qp_irreducibles_cyclic(3, 2)
-            if to_rational(ch.value(0)) == 2
+            if ch.value(0).rational() == 2
         ),
         sd.data.gamma,
     )

@@ -10,7 +10,7 @@ from refartin.fixtures import (
     quad_order,
     real_cubic_order7,
 )
-from refartin.grouptheory import regular_character
+from refartin.grouptheory import standard_characters
 from refartin.oracle import (
     OracleError,
     TameModel,
@@ -212,7 +212,7 @@ def test_regular_module_triple_agreement():
                   real_cubic_order7()]:
         data = filtration_from_monogenic(order)
         oracle_val = oracle_monogenic_clin(order, regular_action(order.group))
-        pairing_val = conductor(data, regular_character(data.gamma))
+        pairing_val = conductor(data, standard_characters(data.gamma)[0])
         half_different = Fraction(different_valuation(data), 2)
         assert oracle_val == pairing_val == half_different
 
