@@ -108,19 +108,43 @@ def load_job(path: str) -> dict:
     return job
 
 
+# array nesting depth of each group spec kind's integers
+_GROUP_SPEC_DEPTH = {"cyclic": 0, "abelian": 1, "table": 2, "perm": 3}
+
+
+def _integers(value, depth: int, where: str):
+    """``value``, checked to be integers nested ``depth`` arrays deep."""
+    if depth:
+        if not isinstance(value, list):
+            raise InputError(f"{where} must be an array, not {json.dumps(value)}")
+        for i, item in enumerate(value):
+            _integers(item, depth - 1, f"{where}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{where} must be an integer, not {json.dumps(value)}")
+    return value
+
+
 def ramification_from_job(job: dict) -> RamificationData:
     sec = job.get("ramification")
     if not isinstance(sec, dict):
         raise InputError("job file has no 'ramification' section")
     try:
-        gamma = build_group(sec["group"])
-        filtration = sec.get("filtration", [])
+        spec = sec["group"]
+        if isinstance(spec, dict) and len(spec) == 1:
+            ((kind, arg),) = spec.items()
+            if kind in _GROUP_SPEC_DEPTH:
+                _integers(arg, _GROUP_SPEC_DEPTH[kind], f"ramification.group.{kind}")
+        gamma = build_group(spec)
+        filtration = _integers(sec.get("filtration", []), 2, "ramification.filtration")
         tame = None
         if sec.get("tame") is not None:
             if not isinstance(sec["tame"], dict):
                 raise InputError("'tame' must be an object with 'generator' and 'exponent'")
-            tame = (int(sec["tame"]["generator"]), int(sec["tame"]["exponent"]))
-        return build_ramification(gamma, filtration, int(sec["p"]), tame)
+            tame = tuple(
+                _integers(sec["tame"][k], 0, f"ramification.tame.{k}")
+                for k in ("generator", "exponent")
+            )
+        return build_ramification(gamma, filtration, _integers(sec["p"], 0, "ramification.p"), tame)
     except KeyError as ex:
         raise InputError(f"ramification section is missing {ex}") from ex
 
@@ -201,6 +225,8 @@ def cmd_compute(args) -> int:
     try:
         data = ramification_from_job(job)
         options = job.get("options", {})
+        if not isinstance(options, dict):
+            raise InputError(f"options must be an object, not {json.dumps(options)}")
         averaged = args.p_average or bool(options.get("p_average"))
         strict = args.strict_rational or bool(options.get("strict_rational"))
         on_unstable = "error" if strict else "warn"

@@ -13,11 +13,16 @@ Conventions follow Serre, Corps Locaux: for real u > -1 the group Gamma_u is
 Gamma_ceil(u), the Herbrand function phi is the resulting continuous
 piecewise-linear map with phi'(u) = 1/[Gamma_0 : Gamma_u], psi its inverse,
 and the upper numbering is Gamma^v = Gamma_psi(v).
+
+:func:`build_ramification` builds everything the datum is read through once:
+the filtration subgroups Gamma_0, ..., Gamma_L (Gamma_L the first trivial
+one) and the vertices of phi at u = -1, 0, 1, ..., L + 1.  phi and psi
+interpolate those vertices, forwards and with the axes swapped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd
@@ -57,6 +62,10 @@ class RamificationData:
     p: int
     tame_generator: int  # element of Gamma_0 generating Gamma_0/Gamma_1
     tame_exponent: int  # Psi(generator) = zeta_n^tame_exponent
+    # Gamma_0, ..., Gamma_L with Gamma_L = 1, L = len(filtration)
+    subgroups: tuple[Subgroup, ...] = field(compare=False, repr=False)
+    # (u, phi(u)) for u = -1, 0, 1, ..., L + 1
+    phi_vertices: tuple[tuple[Fraction, Fraction], ...] = field(compare=False, repr=False)
 
     @property
     def e(self) -> int:
@@ -86,15 +95,13 @@ class RamificationData:
         return frozenset({0})
 
     def subgroup_at(self, i: int) -> Subgroup:
-        return _subgroup_cached(self.gamma, tuple(sorted(self.members_at(i))))
+        """Gamma_i as a subgroup; Gamma_{-1} = Gamma is built on each call."""
+        if i < 0:
+            return subgroup(self.gamma, range(self.gamma.order))
+        return self.subgroups[min(i, len(self.filtration))]
 
     def order_at(self, i: int) -> int:
         return len(self.members_at(i))
-
-
-@lru_cache(maxsize=None)
-def _subgroup_cached(g: FiniteGroup, members: tuple[int, ...]) -> Subgroup:
-    return subgroup(g, members)
 
 
 def build_ramification(
@@ -112,11 +119,11 @@ def build_ramification(
     if p != 0 and not is_prime(p):
         raise RamificationError(f"residue characteristic {p} is neither 0 nor prime")
     groups, e, wild, n = _shape(filtration)
-    subs = [subgroup(gamma, tuple(sorted(m))) for m in groups]
-    for i, s in enumerate(subs):
+    subs = [subgroup(gamma, sorted(m)) for m in groups] + [subgroup(gamma, (0,))]
+    for i, s in enumerate(subs[:-1]):
         if not s.is_normal():
             raise RamificationError(f"filtration group at index {i} is not normal")
-    for i in range(1, len(subs)):
+    for i in range(1, len(groups)):
         if not groups[i] <= groups[i - 1]:
             raise RamificationError(f"filtration is not decreasing at index {i}")
     if p == 0:
@@ -127,14 +134,9 @@ def build_ramification(
             raise RamificationError(f"wild inertia order {wild} is not a power of p={p}")
         if n % p == 0:
             raise RamificationError("tame quotient order is divisible by p")
-    # tame quotient must be cyclic of order n
-    if groups:
-        g0 = subs[0]
-        g1_members = groups[1] if len(groups) > 1 else frozenset({0})
-        g1_in_g0 = subgroup(g0.group, tuple(sorted(g0.members.index(m) for m in g1_members)))
-        q, _ = quotient(g0.group, g1_in_g0)
-        if not q.is_cyclic():
-            raise RamificationError("tame quotient Gamma_0/Gamma_1 is not cyclic")
+    # Gamma_0/Gamma_1 has order n, so it is cyclic iff some element has order n
+    if groups and not any(proj_order(gamma, groups, g) == n for g in groups[0]):
+        raise RamificationError("tame quotient Gamma_0/Gamma_1 is not cyclic")
     if n == 1:
         # Psi carries no information on a trivial quotient
         generator, exponent = 0, 0
@@ -150,7 +152,13 @@ def build_ramification(
             raise RamificationError(
                 f"tame character exponent {exponent} is not injective modulo {n}"
             )
-    return RamificationData(gamma, tuple(groups), p, generator, exponent)
+    # phi has slope |Gamma_i|/e on (i - 1, i] and 1/e past L
+    vertices = [(Fraction(-1), Fraction(-1)), (Fraction(0), Fraction(0))]
+    for u, s in enumerate(subs[1:] + subs[-1:], start=1):
+        vertices.append((Fraction(u), vertices[-1][1] + Fraction(s.order, e)))
+    return RamificationData(
+        gamma, tuple(groups), p, generator, exponent, tuple(subs), tuple(vertices)
+    )
 
 
 def _shape(filtration: Sequence[Sequence[int]]) -> tuple[list[frozenset[int]], int, int, int]:
@@ -178,51 +186,29 @@ def proj_order(gamma: FiniteGroup, groups: Sequence[frozenset[int]], g: int) -> 
 # Herbrand transition functions and the upper numbering
 
 
+def _herbrand(r: RamificationData, x, inverse: bool) -> Fraction:
+    """Interpolate the vertices of phi at x (psi: with the axes swapped),
+    extending the last segment past the last vertex."""
+    x = Fraction(x)
+    if x < -1:
+        raise RamificationError(f"{'psi' if inverse else 'phi'} is defined for arguments >= -1")
+    a, b = (1, 0) if inverse else (0, 1)
+    pts = r.phi_vertices
+    k = 1
+    while k < len(pts) - 1 and x > pts[k][a]:
+        k += 1
+    lo, hi = pts[k - 1], pts[k]
+    return lo[b] + (x - lo[a]) * (hi[b] - lo[b]) / (hi[a] - lo[a])
+
+
 def herbrand_phi(r: RamificationData, u) -> Fraction:
     """phi(u) = integral_0^u dt/[Gamma_0 : Gamma_t]; identity on [-1, 0]."""
-    u = Fraction(u)
-    if u < -1:
-        raise RamificationError("phi is defined for arguments >= -1")
-    if u <= 0:
-        return u
-    g0 = r.e
-    total = Fraction(0)
-    i = 1
-    left = Fraction(0)
-    while True:
-        gi = r.order_at(i)
-        right = Fraction(i)
-        if u <= right:
-            return total + (u - left) * Fraction(gi, g0)
-        total += (right - left) * Fraction(gi, g0)
-        left = right
-        if gi == 1:  # constant slope 1/g0 from here on
-            return total + (u - left) * Fraction(1, g0)
-        i += 1
+    return _herbrand(r, u, inverse=False)
 
 
 def herbrand_psi(r: RamificationData, v) -> Fraction:
     """The inverse of phi (piecewise linear, exact rational arithmetic)."""
-    v = Fraction(v)
-    if v < -1:
-        raise RamificationError("psi is defined for arguments >= -1")
-    if v <= 0:
-        return v
-    g0 = r.e
-    total = Fraction(0)
-    i = 1
-    left_u = Fraction(0)
-    while True:
-        gi = r.order_at(i)
-        slope = Fraction(gi, g0)
-        right_v = total + slope  # phi value at u = i
-        if v <= right_v:
-            return left_u + (v - total) / slope
-        total = right_v
-        left_u = Fraction(i)
-        if gi == 1:
-            return left_u + (v - total) / Fraction(1, g0)
-        i += 1
+    return _herbrand(r, v, inverse=True)
 
 
 def upper_group(r: RamificationData, v) -> Subgroup:
@@ -230,10 +216,7 @@ def upper_group(r: RamificationData, v) -> Subgroup:
     v = Fraction(v)
     if v < -1:
         raise RamificationError("upper numbering is defined for arguments >= -1")
-    if v == -1:
-        return r.subgroup_at(-1)
-    u = herbrand_psi(r, v)
-    return r.subgroup_at(ceil(u))
+    return r.subgroup_at(ceil(herbrand_psi(r, v)))  # psi(-1) = -1 gives Gamma itself
 
 
 def lower_jumps(r: RamificationData) -> list[int]:
@@ -243,7 +226,7 @@ def lower_jumps(r: RamificationData) -> list[int]:
 
 def upper_jumps(r: RamificationData) -> list[Fraction]:
     """The jump locations of the upper-numbering filtration (v >= 0)."""
-    return [herbrand_phi(r, i) for i in lower_jumps(r)]
+    return [r.phi_vertices[i + 1][1] for i in lower_jumps(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -435,46 +418,32 @@ def _dlog_mod_wild(r: RamificationData, g: int, wild: frozenset[int] | None = No
 
 
 def quotient_data(r: RamificationData, normal: Subgroup) -> RamificationData:
-    """Ramification data of M/K for the quotient Gamma/N (Herbrand's theorem).
+    """Ramification data of M/K for the quotient Q = Gamma/N (Herbrand's theorem).
 
-    The quotient's upper filtration is the image of the upper filtration,
-    (Gamma/N)^v = image(Gamma^v), which is directly computable.  Its lower
-    filtration is recovered exactly by integrating the index function
-    [Q^0 : Q^w] between the (finitely many, rational) upper breakpoints and
-    inverting at integers.  The quotient tame character is Psi^d with
-    d = n/n', i.e. the exponent is kept and read modulo n'.
+    The upper filtration passes to quotients, Q^v = image(Gamma^v), and
+    Gamma^v = Gamma_i for v in (phi(i-1), phi(i)].  So psi_Q has slope
+    |Q^0| / |image Gamma_i| there, U_i = psi_Q(phi(i)) is the running sum
+
+        U_i = sum_{j=1}^{i} |Gamma_j| |image Gamma_0| / (e |image Gamma_j|),
+
+    and the lower filtration is Q_u = image(Gamma_i) for u in (U_{i-1}, U_i],
+    trivial past U_L since Gamma_L = 1.  The quotient tame character is Psi^d
+    with d = n/n', i.e. the exponent is kept and read modulo n'.
     """
     if normal.parent != r.gamma:
         raise RamificationError("subgroup belongs to a different group")
     q, proj = quotient(r.gamma, normal)
-
-    def qu(v) -> frozenset[int]:
-        """Member set of (Gamma/N)^v = image(Gamma^v); at an exact jump this
-        is the larger group, by the ceiling convention inside upper_group."""
-        return frozenset(proj.mapping[g] for g in upper_group(r, v).members)
-
-    img0 = qu(Fraction(0))
-    q0_order = len(img0)
-    # breakpoints of the piecewise-constant integrand [Q^0 : Q^w]
-    bps = [herbrand_phi(r, i) for i in range(len(r.filtration) + 1)]
-    # the integrand on each segment, sampled inside it (past the last breakpoint
-    # it is constant)
-    samples = [(left + right) / 2 for left, right in zip(bps, bps[1:])] + [bps[-1] + 1]
-    slopes = [Fraction(q0_order, len(qu(sample))) for sample in samples]
-    filtration: list[list[int]] = [sorted(img0)]
-    u = 1
+    images = [sorted({proj.mapping[g] for g in s.members}) for s in r.subgroups]
+    top, q0 = len(images) - 1, len(images[0])
+    bounds = [Fraction(0)]  # U_0, U_1, ..., U_L
+    for s, image in zip(r.subgroups[1:], images[1:]):
+        bounds.append(bounds[-1] + Fraction(s.order * q0, r.e * len(image)))
+    filtration = [images[0]]
+    u, i = 1, 1
     while len(filtration[-1]) > 1:
-        # solve psi_Q(w) = u for w, walking the segments of the integrand
-        acc = Fraction(0)
-        w = None
-        for j, (left, slope) in enumerate(zip(bps, slopes)):
-            last = j + 1 >= len(bps)
-            right = None if last else bps[j + 1]
-            if last or acc + (right - left) * slope >= u:
-                w = left + (u - acc) / slope
-                break
-            acc += (right - left) * slope
-        filtration.append(sorted(qu(w)))
+        while i < top and u > bounds[i]:
+            i += 1
+        filtration.append(images[i])
         u += 1
     n_q = _shape(filtration)[3]
     tame = None

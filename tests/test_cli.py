@@ -349,3 +349,41 @@ def test_rep_that_is_not_an_object_is_an_input_error(tmp_path, capsys):
     path = write(tmp_path, "rep_list.json", job)
     assert main(["compute", path, "conductor", "c"]) == 2
     assert "representation 'c' has no 'values' array" in capsys.readouterr().err
+
+
+WRONGLY_TYPED = {
+    "options": (["options"], 5, "options"),
+    "filtration-member": (["ramification", "filtration"], [[0, "x"]],
+                          "ramification.filtration[0][1]"),
+    "filtration": (["ramification", "filtration"], 5, "ramification.filtration"),
+    "perm": (["ramification", "group"], {"perm": 5}, "ramification.group.perm"),
+    "abelian": (["ramification", "group"], {"abelian": 5}, "ramification.group.abelian"),
+    "p": (["ramification", "p"], [2], "ramification.p"),
+    "tame-generator": (["ramification", "tame", "generator"], [1],
+                       "ramification.tame.generator"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [("compute", case) for case in WRONGLY_TYPED]
+    + [(command, case) for command in ("validate", "verify")
+       for case in WRONGLY_TYPED if case != "options"],  # only compute reads options
+)
+def test_wrongly_typed_field_is_an_input_error(tmp_path, capsys, command, case):
+    keys, value, field = WRONGLY_TYPED[case]
+    job = json.loads(json.dumps(TAME4_JOB))
+    target = job
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = write(tmp_path, "typed.json", job)
+    argv = {
+        "validate": ["validate", path],
+        "compute": ["compute", path, "bar"],
+        "verify": ["verify", path],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be an ")
+    assert "Traceback" not in err

@@ -11,6 +11,7 @@ from refartin.fixtures import (
     unramified,
 )
 from refartin.grouptheory import (
+    abelian_group,
     all_normal_subgroups,
     all_subgroups,
     cyclic_group,
@@ -74,6 +75,16 @@ def test_build_rejections():
         build_ramification(s3, [[0, trans]], 5, (trans, 1))
     with pytest.raises(RamificationError, match="not cyclic"):
         build_ramification(s3, [list(range(6))], 5, (1, 1))
+
+
+def test_build_rejects_non_cyclic_tame_quotient_over_wild_inertia():
+    # Gamma_0 = C2 x C3 x C3 with Gamma_1 its Sylow 2-subgroup: the tame
+    # quotient C3 x C3 has order 9 but no element of order 9 modulo Gamma_1
+    g = abelian_group((2, 3, 3))
+    sylow2 = [x for x in range(g.order) if g.element_order(x) <= 2]
+    assert len(sylow2) == 2
+    with pytest.raises(RamificationError, match="not cyclic"):
+        build_ramification(g, [list(range(18)), sylow2], 2, (1, 1))
 
 
 # -- Herbrand functions ----------------------------------------------------------
