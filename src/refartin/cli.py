@@ -110,6 +110,7 @@ def load_job(path: str) -> dict:
 
 # array nesting depth of each group spec kind's integers
 _GROUP_SPEC_DEPTH = {"cyclic": 0, "abelian": 1, "table": 2, "perm": 3}
+_ORDER_DEPTH = (("p", 0), ("f", 1), ("galois", 2))
 
 
 def _integers(value, depth: int, where: str):
@@ -173,10 +174,13 @@ def oracle_from_job(obj) -> tuple[MonogenicOrder, list | None]:
     if not isinstance(sec, dict) or "f" not in sec:
         raise InputError("no oracle section (fields p, f, galois) found")
     try:
-        order = build_monogenic_order(sec["p"], sec["f"], sec["galois"])
+        fields = [_integers(sec[k], depth, f"oracle.{k}") for k, depth in _ORDER_DEPTH]
     except KeyError as ex:
         raise InputError(f"oracle section is missing {ex}") from ex
-    return order, sec.get("module")
+    module = sec.get("module")
+    if module is not None:
+        _integers(module, 3, "oracle.module")
+    return build_monogenic_order(*fields), module
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import Cyclotomic, NotRationalError, closure, cyclo_sum, make_root
+from .cyclotomic import Cyclotomic, NotRationalError, _reduce_raw, closure
 from .grouptheory import (
     ClassFunction,
     FiniteGroup,
@@ -151,7 +152,10 @@ def qp_irreducibles_cyclic(n: int, p: int) -> list[ClassFunction]:
             continue
         orbit = sorted({(a * u) % n for u in orbit_group})
         seen.update(orbit)
-        values = [cyclo_sum([make_root(n, rr * g) for rr in orbit]) for g in range(n)]
+        values = [
+            Cyclotomic._new(n, _reduce_raw(n, Counter([rr * g for rr in orbit])), 1)
+            for g in range(n)
+        ]
         out.append(ClassFunction(group, tuple(values)))
     return out
 

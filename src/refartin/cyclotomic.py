@@ -14,7 +14,9 @@ descends one prime at a time through cached integer matrices
 (:func:`_projection`): a few integer dot products decide whether the value
 lies in the subfield and, if it does, give its numerators there, so no
 linear system is ever solved.  The inverse is the product of the other
-Galois conjugates over the norm.
+Galois conjugates over the norm.  :func:`hermitian_sum`, the kernel of the
+class-function pairing, accumulates a whole sum of products in
+Z[X]/(X^N - 1) and canonicalizes once.
 
 Everything is immutable and pure; the per-conductor caches are filled
 idempotently, so concurrent use needs no synchronization.
@@ -561,6 +563,35 @@ def cyclo_sum(values: Iterable[Cyclotomic]) -> Cyclotomic:
     for v in values:
         acc = list(map(add, acc, map(mul, v._embed(n), repeat(den // v.den))))
     return Cyclotomic._new(n, acc, den)
+
+
+def hermitian_sum(
+    a: Sequence[Cyclotomic], b: Sequence[Cyclotomic], weights: Sequence[int]
+) -> Cyclotomic:
+    """sum_c weights[c] * a[c] * conj(b[c]) with a single final canonicalization.
+
+    The terms are accumulated in Z[X]/(X^N - 1), N the lcm of the conductors
+    involved: numerator i of a conductor-m value is the power X^(i N/m),
+    conjugation negates exponents and a product is a cyclic convolution.  Only
+    the sum is reduced modulo Phi_N and put in canonical form.
+    """
+    terms = [(x, y, w) for x, y, w in zip(a, b, weights) if x and y]
+    if not terms:
+        return ZERO
+    n = lcm(*[x.conductor for x, _, _ in terms], *[y.conductor for _, y, _ in terms])
+    den = lcm(*[x.den * y.den for x, y, _ in terms])
+    acc = [0] * (2 * n)  # exponents e + k with 0 <= e, k < n; _mod_phi folds X^n = 1
+    for x, y, w in terms:
+        f = w * (den // (x.den * y.den))
+        sx, sy = n // x.conductor, n // y.conductor
+        conj = [(-j * sy % n, c) for j, c in enumerate(y.num) if c]
+        for i, c in enumerate(x.num):
+            if c:
+                c *= f
+                e = i * sx
+                for k, d in conj:
+                    acc[e + k] += c * d
+    return Cyclotomic._new(n, _mod_phi(n, acc), den)
 
 
 def from_terms(n: int, terms: Iterable[tuple[int, Fraction]]) -> Cyclotomic:

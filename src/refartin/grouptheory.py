@@ -7,7 +7,9 @@ construction, and homomorphisms are plain index maps validated pairwise.
 Class functions carry one exact cyclotomic value per conjugacy class.  The
 pairing is hermitian, (f1|f2) = (1/|G|) sum f1(g) * conj(f2(g)); for
 characters (and for every central function produced by this package) this
-agrees with (1/|G|) sum f1(g) f2(g^-1).
+agrees with (1/|G|) sum f1(g) f2(g^-1).  It is one accumulation in
+Z[X]/(X^N - 1), N the lcm of the value conductors, followed by one reduction
+to canonical form (:func:`refartin.cyclotomic.hermitian_sum`).
 
 All types are immutable after construction and all operations are pure.
 """
@@ -21,7 +23,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .cyclotomic import Cyclotomic, ZERO, closure, cyclo_sum, from_rational, make_root
+from .cyclotomic import Cyclotomic, ZERO, closure, cyclo_sum, from_rational, hermitian_sum, make_root
 
 
 class GroupValidationError(ValueError):
@@ -407,12 +409,8 @@ def pair(f1: ClassFunction, f2: ClassFunction) -> Cyclotomic:
     """(f1|f2) = (1/|G|) sum_g f1(g) conj(f2(g)), computed classwise."""
     _same_group(f1, f2)
     g = f1.group
-    terms = []
-    for ci, cls in enumerate(g.classes):
-        v = f1.values[ci] * f2.values[ci].conjugate()
-        if v:
-            terms.append(v * len(cls))
-    return cyclo_sum(terms) * Fraction(1, g.order)
+    sizes = [len(cls) for cls in g.classes]
+    return hermitian_sum(f1.values, f2.values, sizes) * Fraction(1, g.order)
 
 
 def standard_characters(g: FiniteGroup) -> tuple[ClassFunction, ClassFunction, ClassFunction]:

@@ -8,8 +8,9 @@ and checks each printed result against its captured SHA-256 and each
 closed-form check.  Every op of ``perfbench/golden/cli_jobs.json`` runs
 ``refartin.cli.main(argv)`` in this process, on job files written to a
 temporary directory, and is checked by its stdout SHA-256 and exit code.
-Nothing in the repository is written.  Exits 1 on any mismatch, 0 when all
-ops reproduce.  The file name keeps pytest from collecting it.
+Nothing in the repository is written.  Prints one summary line per corpus
+with its wall and CPU seconds; exits 1 on any mismatch, 0 when all ops
+reproduce.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -28,10 +29,17 @@ import workloads  # noqa: E402
 from refartin.cli import main as cli_main  # noqa: E402
 
 
+def summary(cls, ops, failures: list[str], start: float, cpu: float) -> None:
+    """Print one corpus summary line: op and mismatch counts, then the wall
+    and the CPU seconds since ``start`` and ``cpu``."""
+    print(f"{cls.name}: {len(ops)} ops, {len(failures)} mismatches, "
+          f"{time.perf_counter() - start:.1f} s wall, {time.process_time() - cpu:.1f} s CPU")
+
+
 def replay(cls) -> list[str]:
     """Recompute every op of the workload's golden corpus, print a summary
     line and return one failure line per mismatch."""
-    start = time.perf_counter()
+    start, cpu = time.perf_counter(), time.process_time()
     golden = workloads.load_golden(cls.golden_name)
     ops = cls.universe()
     failures = []
@@ -46,8 +54,7 @@ def replay(cls) -> list[str]:
             failures.append(f"{cls.name}: {op.key}: no golden entry")
         elif entry["sha256"] != workloads.sha256(text):
             failures.append(f"{cls.name}: {op.key}: output differs from the golden digest")
-    print(f"{cls.name}: {len(ops)} ops, {len(failures)} mismatches, "
-          f"{time.perf_counter() - start:.1f} s")
+    summary(cls, ops, failures, start, cpu)
     return failures
 
 
@@ -76,7 +83,7 @@ def cli_failure(op, entry: dict | None) -> str | None:
 def replay_cli() -> list[str]:
     """Run every op of the CLI golden corpus in process, with the job files
     in a temporary working directory (the CLI echoes relative paths)."""
-    start = time.perf_counter()
+    start, cpu = time.perf_counter(), time.process_time()
     cls = workloads.CliJobs
     golden = workloads.load_golden(cls.golden_name)
     ops = cls.universe()
@@ -96,8 +103,7 @@ def replay_cli() -> list[str]:
                     failures.append(f"{cls.name}: {op.key}: {reason}")
         finally:
             os.chdir(cwd)
-    print(f"{cls.name}: {len(ops)} ops, {len(failures)} mismatches, "
-          f"{time.perf_counter() - start:.1f} s")
+    summary(cls, ops, failures, start, cpu)
     return failures
 
 

@@ -308,6 +308,27 @@ def test_order_file_that_is_not_an_object_is_an_input_error(tmp_path, capsys, co
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("p", [2], "oracle.p"),
+        ("p", True, "oracle.p"),
+        ("f", [-2, "0", 1], "oracle.f[1]"),
+        ("galois", 5, "oracle.galois"),
+        ("galois", [[0, 1], 5], "oracle.galois[1]"),
+        ("module", [[1], [-1]], "oracle.module[0][0]"),
+    ],
+)
+@pytest.mark.parametrize("command", ["monogenic", "derive-fixture"])
+def test_wrongly_typed_order_field_is_an_input_error(tmp_path, capsys, command, field, value,
+                                                     path):
+    order = dict(QUAD_ORDER, **{field: value})
+    assert main(["oracle", command, write(tmp_path, "order.json", {"oracle": order})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} must be an ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["validate", "compute", "verify"])
 def test_tame_that_is_not_an_object_is_an_input_error(tmp_path, capsys, command):
     job = json.loads(json.dumps(TAME4_JOB))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from refartin.cyclotomic import NotRationalError, ONE, ZERO, from_rational
+from refartin.cyclotomic import NotRationalError, ONE, ZERO, from_rational, make_root
 from refartin.conductor import (
     StabilityError,
     artin_conductor,
@@ -68,6 +68,16 @@ def test_conductor_irrational_pairing():
     assert sigma_p_stable(chi, 2)
     with pytest.raises(NotRationalError):
         conductor(t, chi, on_unstable="ignore")
+
+
+def test_conductor_unstable_irrational_pairing():
+    t = tame_cyclic(5, 2)
+    chi = power_character(5, 1).scale(make_root(3, 1))  # (bar|chi) = zeta_3^-1 / 5
+    assert not sigma_p_stable(chi, 2)
+    with pytest.raises(NotRationalError):
+        conductor(t, chi, on_unstable="ignore")
+    with pytest.raises(StabilityError):
+        conductor(t, chi, on_unstable="error")
 
 
 def test_conductor_additive_and_regular_value():
