@@ -125,6 +125,24 @@ def _integers(value, depth: int, where: str):
     return value
 
 
+def _rational(value, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise InputError(f"{where} must be a string or an integer, not {json.dumps(value)}")
+
+
+def _value(value, where: str) -> None:
+    """``value`` checked to be a rational or {"n": N, "terms": [[k, c], ...]}."""
+    if not isinstance(value, dict):
+        return _rational(value, where)
+    _integers(value.get("n"), 0, f"{where}.n")
+    terms = value.get("terms", [])
+    if not isinstance(terms, list) or any(not isinstance(t, list) or len(t) != 2 for t in terms):
+        raise InputError(f"{where}.terms must be an array of [k, c] pairs, not {json.dumps(terms)}")
+    for i, (k, c) in enumerate(terms):
+        _integers(k, 0, f"{where}.terms[{i}][0]")
+        _rational(c, f"{where}.terms[{i}][1]")
+
+
 def ramification_from_job(job: dict) -> RamificationData:
     sec = job.get("ramification")
     if not isinstance(sec, dict):
@@ -158,6 +176,8 @@ def rep_from_job(job: dict, name: str, data: RamificationData) -> ClassFunction:
     values = rep.get("values") if isinstance(rep, dict) else None
     if not isinstance(values, list):
         raise InputError(f"representation {name!r} has no 'values' array")
+    for i, v in enumerate(values):
+        _value(v, f"reps.{name}.values[{i}]")
     vals = tuple(parse_value(v) for v in values)
     if len(vals) != len(data.gamma.classes):
         raise InputError(
@@ -296,8 +316,10 @@ def cmd_oracle(args) -> int:
         if sub == "tame":
             if len(args.args) < 2:
                 raise InputError("usage: oracle tame N I [I ...]")
-            n = int(args.args[0])
-            exps = [int(x) for x in args.args[1:]]
+            try:
+                n, *exps = map(int, args.args)
+            except ValueError:
+                raise InputError(f"oracle tame takes integers, not {' '.join(args.args)}") from None
             print(oracle_tame_clin(n, exps))
         elif sub == "monogenic":
             if len(args.args) != 1:

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import Cyclotomic, NotRationalError, _reduce_raw, closure
+from .cyclotomic import Cyclotomic, NotRationalError, closure, from_terms
 from .grouptheory import (
     ClassFunction,
     FiniteGroup,
@@ -152,10 +151,7 @@ def qp_irreducibles_cyclic(n: int, p: int) -> list[ClassFunction]:
             continue
         orbit = sorted({(a * u) % n for u in orbit_group})
         seen.update(orbit)
-        values = [
-            Cyclotomic._new(n, _reduce_raw(n, Counter([rr * g for rr in orbit])), 1)
-            for g in range(n)
-        ]
+        values = [from_terms(n, [(r * g, 1) for r in orbit]) for g in range(n)]
         out.append(ClassFunction(group, tuple(values)))
     return out
 

@@ -594,15 +594,14 @@ def hermitian_sum(
     return Cyclotomic._new(n, _mod_phi(n, acc), den)
 
 
-def from_terms(n: int, terms: Iterable[tuple[int, Fraction]]) -> Cyclotomic:
-    """Sum of coeff * zeta_n^k terms; accepts arbitrary exponents."""
+def from_terms(n: int, terms: Iterable[tuple[int, int | Fraction]]) -> Cyclotomic:
+    """Sum of coeff * zeta_n^k terms; accepts arbitrary exponents, and int
+    or Fraction coefficients, which are accumulated as given."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    raw: dict[int, Fraction] = {}
+    raw: dict[int, int | Fraction] = {}
     for k, c in terms:
-        c = Fraction(c)
-        if c:
-            raw[k % n] = raw.get(k % n, Fraction(0)) + c
+        raw[k % n] = raw.get(k % n, 0) + c
     den = lcm(*[c.denominator for c in raw.values()])
     raw_num = {k: c.numerator * (den // c.denominator) for k, c in raw.items()}
     return Cyclotomic._new(n, _reduce_raw(n, raw_num), den)

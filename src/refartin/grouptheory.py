@@ -2,7 +2,12 @@
 
 Groups are small (order <= ~200), so everything is table-driven: elements are
 indices 0..m-1 with the identity at index 0, conjugacy classes are computed on
-construction, and homomorphisms are plain index maps validated pairwise.
+construction, and homomorphisms are plain index maps.  Checks run at the
+input boundary: :func:`group_from_table` verifies the axioms of a table given
+from outside and :func:`hom` a map given from outside, pairwise.  Derived
+tables (cyclic, abelian and permutation groups, subgroups, quotients) are
+groups by construction and go through ``_group``, which only derives inverses
+and classes; inclusions, projections and composites are not re-checked.
 
 Class functions carry one exact cyclotomic value per conjugacy class.  The
 pairing is hermitian, (f1|f2) = (1/|G|) sum f1(g) * conj(f2(g)); for
@@ -50,9 +55,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def element_order(self, a: int) -> int:
         x, r = a, 1
         while x != 0:
@@ -74,75 +76,54 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _generating_set(table: Sequence[Sequence[int]]) -> list[int]:
-    gens: list[int] = []
-    seen = {0}
-    for x in range(len(table)):
-        if x not in seen:
-            gens.append(x)
-            seen = closure(gens, lambda a, b: table[a][b], 0)
-    return gens
-
-
 def group_from_table(table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Build a group from a table, verifying the group axioms.
+    """Build a group from a table given from outside, checking the axioms.
 
     The identity must sit at index 0.  Associativity is verified with Light's
     test over a generating set.
     """
     m = len(table)
-    tab = tuple(tuple(row) for row in table)
+    tab = tuple([tuple(row) for row in table])
     if m == 0 or any(len(row) != m for row in tab):
         raise GroupValidationError("multiplication table is not square")
     if any(not (0 <= x < m) for row in tab for x in row):
         raise GroupValidationError("table entry out of range")
     if any(tab[0][j] != j or tab[j][0] != j for j in range(m)):
         raise GroupValidationError("index 0 is not a two-sided identity")
-    inverse = [-1] * m
-    for a in range(m):
-        for b in range(m):
-            if tab[a][b] == 0 and tab[b][a] == 0:
-                inverse[a] = b
-                break
-        if inverse[a] < 0:
+    for a, row in enumerate(tab):
+        if not any(x == 0 and tab[b][a] == 0 for b, x in enumerate(row)):
             raise GroupValidationError(f"element {a} has no two-sided inverse")
-    for g in _generating_set(tab):
-        for x in range(m):
-            xg = tab[x][g]
-            rowg = tab[g]
-            for y in range(m):
-                if tab[xg][y] != tab[x][rowg[y]]:
-                    raise GroupValidationError("multiplication table is not associative")
-    classes = _conjugacy_classes(tab, inverse)
-    class_of = [0] * m
-    for ci, cls in enumerate(classes):
-        for g in cls:
-            class_of[g] = ci
-    return FiniteGroup(tab, tuple(inverse), classes, tuple(class_of))
+    gens, seen = [], {0}
+    for g in range(m):  # Light's test, on each element of a generating set
+        if g not in seen:
+            if any(tab[row[g]] != tuple(row[y] for y in tab[g]) for row in tab):
+                raise GroupValidationError("multiplication table is not associative")
+            gens.append(g)
+            seen = closure(gens, lambda a, b: tab[a][b], 0)
+    return _group(tab)
 
 
-def _conjugacy_classes(
-    table: Sequence[Sequence[int]], inverse: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    m = len(table)
-    seen = [False] * m
-    classes = []
-    for g in range(m):
-        if seen[g]:
-            continue
-        cls = {table[inverse[t]][table[g][t]] for t in range(m)}
-        for x in cls:
-            seen[x] = True
-        classes.append(tuple(sorted(cls)))
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+def _group(tab: tuple[tuple[int, ...], ...]) -> FiniteGroup:
+    """The group on a table that is a group by construction, identity at
+    index 0: no axiom is checked, inverses and conjugacy classes are derived.
+    Classes are numbered by their least element."""
+    inverse = tuple([row.index(0) for row in tab])
+    classes: list[tuple[int, ...]] = []
+    class_of = [-1] * len(tab)
+    for g, row in enumerate(tab):
+        if class_of[g] < 0:
+            cls = tuple(sorted({tab[inverse[t]][x] for t, x in enumerate(row)}))
+            for x in cls:
+                class_of[x] = len(classes)
+            classes.append(cls)
+    return FiniteGroup(tab, inverse, tuple(classes), tuple(class_of))
 
 
 @lru_cache(maxsize=None)
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupValidationError("cyclic order must be positive")
-    return group_from_table([[(i + j) % n for j in range(n)] for i in range(n)])
+    return _group(tuple([tuple([(i + j) % n for j in range(n)]) for i in range(n)]))
 
 
 @lru_cache(maxsize=None)
@@ -151,15 +132,15 @@ def abelian_group(invariants: tuple[int, ...]) -> FiniteGroup:
         raise GroupValidationError("abelian invariants must be positive")
     elements = list(itertools.product(*[range(k) for k in invariants]))
     index = {e: i for i, e in enumerate(elements)}
-    table = [
-        [index[tuple((x + y) % k for x, y, k in zip(a, b, invariants))] for b in elements]
+    return _group(tuple([
+        tuple([index[tuple((x + y) % k for x, y, k in zip(a, b, invariants))] for b in elements])
         for a in elements
-    ]
-    return group_from_table(table)
+    ]))
 
 
 def perm_group(generator_cycles: Sequence[Sequence[Sequence[int]]]) -> FiniteGroup:
-    """Group generated by permutations given in cycle notation (1-based points)."""
+    """Group generated by permutations given in cycle notation (1-based
+    points); the cycles of one generator must be disjoint."""
     points = 1
     for cycles in generator_cycles:
         for cyc in cycles:
@@ -175,14 +156,15 @@ def perm_group(generator_cycles: Sequence[Sequence[Sequence[int]]]) -> FiniteGro
                 raise GroupValidationError(f"cycle {list(cyc)} repeats a point")
             for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
                 p[a - 1] = b - 1
+        if len(set(p)) != points:
+            raise GroupValidationError(f"cycles {cycles} of one generator are not disjoint")
         perms.append(tuple(p))
     elements = closure(perms, lambda a, b: tuple(a[i] for i in b), tuple(range(points)))
     ordered = sorted(elements)  # the identity is the lexicographic minimum
     index = {p: i for i, p in enumerate(ordered)}
-    table = [
-        [index[tuple(a[b[i]] for i in range(points))] for b in ordered] for a in ordered
-    ]
-    return group_from_table(table)
+    return _group(tuple([
+        tuple([index[tuple([a[i] for i in b])] for b in ordered]) for a in ordered
+    ]))
 
 
 def build_group(spec: dict) -> FiniteGroup:
@@ -209,30 +191,29 @@ def build_group(spec: dict) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class GroupHom:
-    """A homomorphism as an element-index map, validated on construction."""
+    """A homomorphism as an element-index map.  A plain record: maps given
+    from outside are checked by :func:`hom`."""
 
     source: FiniteGroup
     target: FiniteGroup
     mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        s, t, f = self.source, self.target, self.mapping
-        if len(f) != s.order or any(not (0 <= x < t.order) for x in f):
-            raise GroupValidationError("homomorphism map has wrong shape")
-        if f[0] != 0:
-            raise GroupValidationError("homomorphism does not preserve the identity")
-        for a in range(s.order):
-            fa = f[a]
-            for b in range(s.order):
-                if f[s.table[a][b]] != t.table[fa][f[b]]:
-                    raise GroupValidationError("map is not a homomorphism")
 
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == self.source.order
 
 
 def hom(source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int]) -> GroupHom:
-    return GroupHom(source, target, tuple(mapping))
+    """A homomorphism given from outside, checked pairwise."""
+    f = tuple(mapping)
+    if len(f) != source.order or any(not (0 <= x < target.order) for x in f):
+        raise GroupValidationError("homomorphism map has wrong shape")
+    if f[0] != 0:
+        raise GroupValidationError("homomorphism does not preserve the identity")
+    for a, row in enumerate(source.table):
+        image = target.table[f[a]]
+        if any(f[ab] != image[f[b]] for b, ab in enumerate(row)):
+            raise GroupValidationError("map is not a homomorphism")
+    return GroupHom(source, target, f)
 
 
 def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
@@ -246,7 +227,9 @@ class Subgroup:
     """A subgroup of a parent group, with its own group structure attached.
 
     ``group`` is the subgroup as a standalone FiniteGroup (members re-indexed
-    in ascending order) and ``inclusion`` the corresponding injection.
+    in ascending order) and ``inclusion`` the corresponding injection.  The
+    members are checked to lie in the parent and to be closed; a closed
+    subset of a group is a group, so its table is not checked again.
     """
 
     parent: FiniteGroup
@@ -255,40 +238,35 @@ class Subgroup:
     inclusion: GroupHom = field(init=False, compare=False)
 
     def __post_init__(self):
+        g = self.parent
         mem = tuple(sorted(set(self.members)))
+        for x in mem[:1] + mem[-1:]:
+            if not 0 <= x < g.order:
+                raise GroupValidationError(
+                    f"subgroup member {x} is not an element of a group of order {g.order}"
+                )
         if not mem or mem[0] != 0:
             raise GroupValidationError("subgroup must contain the identity (index 0)")
-        if mem[-1] >= self.parent.order:
-            raise GroupValidationError(
-                f"subgroup member {mem[-1]} is not an element of a group of order "
-                f"{self.parent.order}"
-            )
-        memset = set(mem)
-        for a in mem:
-            if self.parent.inverse[a] not in memset:
-                raise GroupValidationError("subgroup not closed under inverse")
-            for b in mem:
-                if self.parent.table[a][b] not in memset:
-                    raise GroupValidationError("subgroup not closed under product")
+        index = {x: i for i, x in enumerate(mem)}
+        if any(g.inverse[a] not in index for a in mem):
+            raise GroupValidationError("subgroup not closed under inverse")
+        try:
+            table = tuple([tuple([index[g.table[a][b]] for b in mem]) for a in mem])
+        except KeyError:
+            raise GroupValidationError("subgroup not closed under product") from None
+        grp = _group(table)
         object.__setattr__(self, "members", mem)
-        index = {g: i for i, g in enumerate(mem)}
-        table = [[index[self.parent.table[a][b]] for b in mem] for a in mem]
-        grp = group_from_table(table)
         object.__setattr__(self, "group", grp)
-        object.__setattr__(self, "inclusion", GroupHom(grp, self.parent, mem))
+        object.__setattr__(self, "inclusion", GroupHom(grp, g, mem))
 
     @property
     def order(self) -> int:
         return len(self.members)
 
     def is_normal(self) -> bool:
-        memset = set(self.members)
-        t, inv = self.parent.table, self.parent.inverse
-        return all(
-            t[inv[g]][t[h][g]] in memset
-            for g in range(self.parent.order)
-            for h in self.members
-        )
+        """Whether the subgroup is a union of conjugacy classes of the parent."""
+        g, memset = self.parent, set(self.members)
+        return all(memset.issuperset(g.classes[g.class_of[h]]) for h in self.members)
 
     def __repr__(self) -> str:
         return f"Subgroup({list(self.members)})"
@@ -309,39 +287,44 @@ def quotient(parent: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, GroupH
     if not normal.is_normal():
         raise GroupValidationError("subgroup is not normal")
     t = parent.table
-    coset_of: dict[int, int] = {}
-    cosets: list[tuple[int, ...]] = []
+    coset_of = [-1] * parent.order
+    reps: list[int] = []  # the least element of each coset, ascending
     for g in range(parent.order):
-        if g in coset_of:
-            continue
-        cs = tuple(sorted(t[g][h] for h in normal.members))
-        for x in cs:
-            coset_of[x] = len(cosets)
-        cosets.append(cs)
-    order = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
-    relabel = {old: new for new, old in enumerate(order)}
-    reps = [cosets[old][0] for old in order]
-    table = [[relabel[coset_of[t[a][b]]] for b in reps] for a in reps]
-    q = group_from_table(table)
-    proj = GroupHom(parent, q, tuple(relabel[coset_of[g]] for g in range(parent.order)))
-    return q, proj
+        if coset_of[g] < 0:
+            for h in normal.members:
+                coset_of[t[g][h]] = len(reps)
+            reps.append(g)
+    q = _group(tuple([tuple([coset_of[t[a][b]] for b in reps]) for a in reps]))
+    return q, GroupHom(parent, q, tuple(coset_of))
 
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """All subgroups, ordered by (order, member tuple)."""
-    found = {tuple(sorted(closure((h,), g.mul, 0))) for h in range(g.order)}
-    grew = True
-    while grew:
-        grew = False
-        for a in list(found):
-            for x in range(g.order):
-                if x in a:
-                    continue
-                b = tuple(sorted(closure(a + (x,), g.mul, 0)))
+    """All subgroups, ordered by (order, member tuple).
+
+    The lattice is built by cyclic extension (Neubueser, Numer. Math. 2,
+    1960): every subgroup is a join of cyclic subgroups, so joining each
+    subgroup found once with each cyclic subgroup not inside it finds them
+    all.  A join is closed from the subgroup's generator tuple.
+    """
+    cyclic: dict[frozenset[int], int] = {}  # member set -> a generator
+    for h in range(g.order):
+        powers, x = {0}, h
+        while x:
+            powers.add(x)
+            x = g.table[x][h]
+        cyclic.setdefault(frozenset(powers), h)
+    found = {c: (h,) for c, h in cyclic.items()}  # member set -> generators
+    todo = list(found)
+    while todo:
+        a = todo.pop()
+        for h in cyclic.values():
+            if h not in a:
+                gens = found[a] + (h,)
+                b = frozenset(closure(gens, g.mul, 0))
                 if b not in found:
-                    found.add(b)
-                    grew = True
-    return [subgroup(g, mem) for mem in sorted(found, key=lambda m: (len(m), m))]
+                    found[b] = gens
+                    todo.append(b)
+    return [subgroup(g, mem) for mem in sorted(sorted(map(sorted, found)), key=len)]
 
 
 def all_normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
@@ -442,11 +425,10 @@ def pushforward(alpha: GroupHom, chi: ClassFunction) -> ClassFunction:
         raise GroupValidationError("class function not on the hom source")
     src, tgt = alpha.source, alpha.target
     sums: list[list[Cyclotomic]] = [[] for _ in tgt.classes]
-    for g in range(src.order):
-        sums[tgt.class_of[alpha.mapping[g]]].append(chi.value(g))
-    vals = []
-    for ci, cls in enumerate(tgt.classes):
-        vals.append(cyclo_sum(sums[ci]) * Fraction(tgt.order, src.order * len(cls)))
+    for cls, v in zip(src.classes, chi.values):  # a hom maps classes into classes
+        sums[tgt.class_of[alpha.mapping[cls[0]]]] += [v] * len(cls)
+    m, n = tgt.order, src.order
+    vals = [cyclo_sum(s) * Fraction(m, n * len(c)) for s, c in zip(sums, tgt.classes)]
     return ClassFunction(tgt, tuple(vals))
 
 

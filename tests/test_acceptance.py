@@ -25,10 +25,10 @@ from refartin.fixtures import (
     tame_cyclic,
 )
 from refartin.grouptheory import (
-    GroupHom,
     all_normal_subgroups,
     all_subgroups,
     cyclic_group,
+    hom,
     pair,
     pullback,
     pushforward,
@@ -97,9 +97,9 @@ def test_criterion_01_bar_relation_battery():
                 nd = n * d
                 cnd = cyclic_group(nd)
                 bnd = bar_n(nd)
-                power_map = GroupHom(cnd, cn, tuple(a % n for a in range(nd)))  # (iii)
+                power_map = hom(cnd, cn, [a % n for a in range(nd)])  # (iii)
                 assert pushforward(power_map, bnd).values == bn.values
-                incl = GroupHom(cn, cnd, tuple((a * d) % nd for a in range(n)))  # (iv)
+                incl = hom(cn, cnd, [(a * d) % nd for a in range(n)])  # (iv)
                 expected = bn + reg.scale(Fraction(d - 1, 2))
                 assert pullback(incl, bnd).values == expected.values
                 checked += 1

@@ -159,6 +159,15 @@ def test_perm_group_job(tmp_path, capsys):
     assert main(["verify", path]) == 0
 
 
+def test_perm_generator_with_overlapping_cycles_is_rejected(tmp_path, capsys):
+    job = dict(QUAD_JOB, ramification={"group": {"perm": [[[3, 1], [1, 2]]]},
+                                       "filtration": [[0]], "p": 2})
+    path = write(tmp_path, "overlap.json", job)
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert "not disjoint" in err and "Traceback" not in err
+
+
 def test_outputs_reparse_and_are_deterministic(tmp_path, capsys):
     path = write(tmp_path, "t4.json", TAME4_JOB)
     main(["compute", path, "bar", "--format", "json"])
@@ -266,6 +275,10 @@ def test_oracle_derive_fixture_with_tame_part(tmp_path, capsys):
 
 def test_oracle_errors(tmp_path, capsys):
     assert main(["oracle", "tame", "5"]) == 2
+    for args in (["x", "1"], ["3", "x"], ["5", "2.0"]):
+        capsys.readouterr()
+        assert main(["oracle", "tame", *args]) == 2
+        assert capsys.readouterr().err.startswith("error: oracle tame takes integers")
     bad = write(tmp_path, "bad_order.json", {"p": 2, "f": [-3, 0, 1], "galois": [[0, 1], [0, -1]]})
     assert main(["oracle", "monogenic", bad, "--module", "regular"]) == 3
 
@@ -345,23 +358,52 @@ def test_tame_that_is_not_an_object_is_an_input_error(tmp_path, capsys, command)
 
 @pytest.mark.parametrize(
     "command, code",
-    [("validate", 1), ("compute", 2), ("verify", 1), ("disc", 2)],
+    [("validate", 1), ("compute", 2), ("verify", 1), ("disc", 2),
+     ("validate-negative", 1), ("disc-negative", 2)],
 )
 def test_subgroup_member_outside_the_group(tmp_path, capsys, command, code):
+    command, _, negative = command.partition("-")
+    member = -1 if negative else 99
     job = json.loads(json.dumps(QUAD_JOB))
     if command != "disc":
-        job["ramification"]["filtration"] = [[0, 1], [0, 99]]
-    path = write(tmp_path, "member99.json", job)
+        job["ramification"]["filtration"] = [[0, 1], [0, member]]
+    path = write(tmp_path, "member.json", job)
     argv = {
         "validate": ["validate", path],
         "compute": ["compute", path, "bar"],
         "verify": ["verify", path],
-        "disc": ["compute", path, "disc", "0,5"],
+        "disc": ["compute", path, "disc", f"0,{-1 if negative else 5}"],
     }[command]
     assert main(argv) == code
     captured = capsys.readouterr()
     assert "is not an element of a group of order 2" in captured.out + captured.err
     assert "Traceback" not in captured.err
+
+
+MALFORMED_VALUES = {
+    "no-n": ({"terms": []}, "[0].n must be an integer, not null"),
+    "null-n": ({"n": None}, "[0].n must be an integer, not null"),
+    "list-n": ({"n": [3]}, "[0].n must be an integer, not [3]"),
+    "terms": ({"n": 3, "terms": 5}, "[0].terms must be an array of [k, c] pairs, not 5"),
+    "short-term": ({"n": 3, "terms": [[1]]}, "[0].terms must be an array of [k, c] pairs"),
+    "null-coefficient": ({"n": 3, "terms": [[1, None]]},
+                         "[0].terms[0][1] must be a string or an integer, not null"),
+    "float-exponent": ({"n": 3, "terms": [[1.5, 1]]},
+                       "[0].terms[0][0] must be an integer, not 1.5"),
+    "boolean": (True, "[0] must be a string or an integer, not true"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_VALUES)
+def test_malformed_rep_value_is_an_input_error(tmp_path, capsys, case):
+    value, message = MALFORMED_VALUES[case]
+    job = json.loads(json.dumps(QUAD_JOB))
+    job["reps"]["chi"]["values"][0] = value
+    path = write(tmp_path, "value.json", job)
+    assert main(["compute", path, "conductor", "chi"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: reps.chi.values{message}")
+    assert "Traceback" not in err
 
 
 def test_rep_that_is_not_an_object_is_an_input_error(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from refartin.cyclotomic import ONE, ZERO, from_rational, make_root
 from refartin.grouptheory import (
     ClassFunction,
-    GroupHom,
     GroupValidationError,
     abelian_irreducibles,
     all_normal_subgroups,
@@ -59,6 +58,8 @@ def test_perm_group_validation():
         build_group({"perm": [[[0, 1]]]})  # 0 is not a valid 1-based point
     with pytest.raises(GroupValidationError):
         build_group({"perm": [[[1, 1]]]})
+    with pytest.raises(GroupValidationError, match="not disjoint"):
+        build_group({"perm": [[[3, 1], [1, 2]]]})  # maps 1 -> 2 and 3 -> 1 -> 2
 
 
 def test_subgroup_quotient_hom_examples():
@@ -226,7 +227,7 @@ def _induced(src_quot, dst_quot, g, proj_src, mn_members):
     mapping = [0] * src_quot.order
     for x in range(g.order):
         mapping[proj_src.mapping[x]] = proj_mn.mapping[x]
-    return GroupHom(src_quot, dst_quot, tuple(mapping))
+    return hom(src_quot, dst_quot, mapping)
 
 
 # -- abelian irreducibles ------------------------------------------------------

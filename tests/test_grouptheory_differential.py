@@ -1,12 +1,20 @@
-"""The one-reduction pairing and the integer-built Q_p-irreducible characters
-against the earlier per-value implementations in ``grouptheory_reference.py``.
+"""The one-reduction pairing, the integer-built Q_p-irreducible characters and
+the subgroup lattice against the earlier implementations in
+``grouptheory_reference.py``.
 
 Class functions are drawn on cyclic and abelian groups of order <= 24 and, so
 that classes of more than one element occur, on S3, D4 and A4.  Their values
 sit at mixed conductors (1, odd, and multiples of 4), carry denominators, and
 some classes are zero.  Results must be equal in canonical form.
+
+The lattice is compared on cyclic groups of order 1-48, on S3, D4, Q8, A4, S4
+and on eight abelian groups of order 8-48.  Every subgroup and quotient table
+there is built without an axiom check; each must give the same inverses and
+classes as the checked constructor, and each inclusion and projection must
+pass the homomorphism check.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,8 +23,19 @@ from hypothesis import strategies as st
 
 import grouptheory_reference as ref
 from refartin.conductor import qp_irreducibles_cyclic
-from refartin.cyclotomic import ZERO, from_terms
-from refartin.grouptheory import ClassFunction, abelian_group, build_group, cyclic_group, pair
+from refartin.cyclotomic import ZERO, from_terms, make_root
+from refartin.grouptheory import (
+    ClassFunction,
+    abelian_group,
+    all_subgroups,
+    build_group,
+    cyclic_group,
+    group_from_table,
+    hom,
+    pair,
+    pushforward,
+    quotient,
+)
 
 GROUPS = (
     [cyclic_group(n) for n in range(1, 25)]
@@ -79,3 +98,51 @@ def test_pair_matches_reference(fs):
 def test_qp_irreducibles_match_reference(p):
     for n in range(1, 31):
         assert qp_irreducibles_cyclic(n, p) == ref.qp_irreducibles_cyclic(n, p)
+
+
+LATTICE_SPECS = {
+    "s3": {"perm": [[[1, 2]], [[1, 2, 3]]]},
+    "d4": {"perm": [[[1, 2, 3, 4]], [[1, 3]]]},
+    "q8": {"perm": [[[1, 2, 3, 4], [5, 6, 7, 8]], [[1, 5, 3, 7], [2, 8, 4, 6]]]},
+    "a4": {"perm": [[[1, 2, 3]], [[1, 2], [3, 4]]]},
+    "s4": {"perm": [[[1, 2, 3, 4]], [[1, 2]]]},
+    **{
+        "ab" + "x".join(map(str, inv)): {"abelian": list(inv)}
+        for inv in [(2, 2, 2), (4, 4), (2, 2, 2, 2), (3, 3), (3, 9), (2, 12), (2, 2, 6), (4, 12)]
+    },
+    **{f"c{n}": {"cyclic": n} for n in range(1, 49)},
+}
+
+
+def _assert_derived_like_checked(g):
+    checked = group_from_table(g.table)
+    assert (g.inverse, g.classes, g.class_of) == (
+        checked.inverse, checked.classes, checked.class_of
+    )
+
+
+def _random_cf(g, rng):
+    return ClassFunction(
+        g, tuple(make_root(12, rng.randrange(12)) * rng.randrange(-2, 3) for _ in g.classes)
+    )
+
+
+@pytest.mark.parametrize("name", LATTICE_SPECS)
+def test_subgroup_lattice_matches_reference(name):
+    rng = random.Random(name)
+    g = build_group(LATTICE_SPECS[name])
+    _assert_derived_like_checked(g)
+    subs = all_subgroups(g)
+    assert [s.members for s in subs] == ref.all_subgroup_members(g)
+    chi_g = _random_cf(g, rng)
+    for s in subs:
+        _assert_derived_like_checked(s.group)
+        assert hom(s.group, g, s.inclusion.mapping) == s.inclusion
+        chi = _random_cf(s.group, rng)
+        assert pushforward(s.inclusion, chi) == ref.pushforward(s.inclusion, chi)
+        assert s.is_normal() == ref.is_normal(s)
+        if s.is_normal():
+            q, proj = quotient(g, s)
+            _assert_derived_like_checked(q)
+            assert hom(g, q, proj.mapping) == proj
+            assert pushforward(proj, chi_g) == ref.pushforward(proj, chi_g)
