@@ -48,7 +48,6 @@ from .ramification import (
     herbrand_phi,
     herbrand_psi,
     discriminant_valuation,
-    p_average,
     refined_artin,
 )
 from .conductor import (
@@ -75,6 +74,12 @@ EXIT_INPUT_ERROR = 2
 EXIT_COMPUTE_ERROR = 3
 
 FORMAT_VERSION = 1
+
+# oracle tame admission limits: the tame kernel grows steeply with N (about
+# 1 s at N = 192 and 15 s at N = 384 for one exponent) and linearly with the
+# number of exponents
+TAME_MAX_DEGREE = 200
+TAME_MAX_EXPONENTS = 8
 
 
 class InputError(Exception):
@@ -257,9 +262,10 @@ def cmd_compute(args) -> int:
         if what == "artin":
             _emit_class_function(artin_character(data), args.format, sys.stdout)
         elif what in ("bar", "bar-avg"):  # bar-avg is bar --p-average
-            chi = refined_artin(data)
             if averaged or what == "bar-avg":
-                chi = p_average(chi, data.p, data.n)
+                chi = refined_artin(data, averaged=True)
+            else:
+                chi = refined_artin(data)
             _emit_class_function(chi, args.format, sys.stdout)
         elif what == "conductor":
             chi = rep_from_job(job, _one_arg(rest, "conductor REP"), data)
@@ -320,6 +326,14 @@ def cmd_oracle(args) -> int:
                 n, *exps = map(int, args.args)
             except ValueError:
                 raise InputError(f"oracle tame takes integers, not {' '.join(args.args)}") from None
+            if not 1 <= n <= TAME_MAX_DEGREE:
+                raise InputError(
+                    f"oracle tame degree N must be between 1 and {TAME_MAX_DEGREE}, not {n}"
+                )
+            if len(exps) > TAME_MAX_EXPONENTS:
+                raise InputError(
+                    f"oracle tame takes at most {TAME_MAX_EXPONENTS} exponents, not {len(exps)}"
+                )
             print(oracle_tame_clin(n, exps))
         elif sub == "monogenic":
             if len(args.args) != 1:

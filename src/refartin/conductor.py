@@ -45,7 +45,6 @@ from .ramification import (
     artin_character,
     bar_n,
     discriminant_valuation,
-    p_average,
     power_character,
     quotient_data,
     refined_artin,
@@ -65,7 +64,7 @@ def sigma_p_stable(chi: ClassFunction, p: int) -> bool:
     p = 0, i.e. the values are rational)."""
     if p == 0:
         return all(v.is_rational() for v in chi.values)
-    for v in chi.values:
+    for v in set(chi.values):
         if gcd(p, v.conductor) != 1 or v.galois(p) != v:
             return False
     return True
@@ -90,6 +89,8 @@ def conductor(
 ) -> Fraction:
     """Base-change conductor (refined_artin(r) | chi) as an exact rational.
 
+    With ``averaged=True`` chi is paired with the Frobenius average of the
+    refined character, computed once per datum by ``refined_artin``.
     Raises NotRationalError if the pairing is irrational (possible only when
     chi is not sigma_p-stable); ``on_unstable`` selects how the stability
     gate reports ("warn", "error", "ignore").
@@ -97,9 +98,7 @@ def conductor(
     if chi.group != r.gamma:
         raise RamificationError("character lives on a different group")
     _gate_stability(chi, r.p, on_unstable)
-    bar = refined_artin(r)
-    if averaged:
-        bar = p_average(bar, r.p, r.n)
+    bar = refined_artin(r, averaged=True) if averaged else refined_artin(r)
     return pair(bar, chi).rational()
 
 
@@ -118,10 +117,16 @@ def qp_irreducibles_cyclic(n: int, p: int) -> list[ClassFunction]:
     """Characters of the simple Q_p[C_n]-modules on the standard cyclic group.
 
     They are the orbit sums of the linear characters chi_r under the
-    subgroup of (Z/n)* generated by p on the prime-to-p part and by all of
+    subgroup H of (Z/n)* generated by p on the prime-to-p part and by all of
     (Z/p^k)* on the p-part; equivalently, one character per irreducible
     factor of X^n - 1 over Q_p.  For p = 0 the orbits are under all of
     (Z/n)*, giving the Q-rational irreducibles.
+
+    The values are Gauss periods P(O) = sum_{r in O} zeta_n^r, one per orbit
+    O = aH, each built once.  For the character of O and g in C_n, r -> r g
+    maps O onto the orbit O' of a g with |O| / |O'| elements over each
+    point, so chi_O(g) = (|O| / |O'|) P(O').  The factor exceeds 1 only when
+    a g has a smaller orbit than a, which needs g not a unit mod n.
     """
     if n < 1:
         raise ValueError("cyclic order must be positive")
@@ -144,14 +149,24 @@ def qp_irreducibles_cyclic(n: int, p: int) -> list[ClassFunction]:
             if gcd(w, pk) == 1:
                 gens.append(_crt(1, m, w, pk))
     orbit_group = closure(gens, lambda x, g: x * g % n, 1 % n)
-    seen = set()
-    out = []
+    orbits: list[list[int]] = []
+    orbit_of = [-1] * n
     for a in range(n):
-        if a in seen:
-            continue
-        orbit = sorted({(a * u) % n for u in orbit_group})
-        seen.update(orbit)
-        values = [from_terms(n, [(r * g, 1) for r in orbit]) for g in range(n)]
+        if orbit_of[a] < 0:
+            orbit = sorted({(a * u) % n for u in orbit_group})
+            for r in orbit:
+                orbit_of[r] = len(orbits)
+            orbits.append(orbit)
+    periods = [from_terms(n, [(r, 1) for r in orbit]) for orbit in orbits]
+    out = []
+    for orbit in orbits:
+        a, size = orbit[0], len(orbit)
+        values = []
+        for g in range(n):
+            j = orbit_of[a * g % n]
+            m = size // len(orbits[j])
+            # Cyclotomic * int renormalizes, so the common m == 1 case reuses P
+            values.append(periods[j] if m == 1 else periods[j] * m)
         out.append(ClassFunction(group, tuple(values)))
     return out
 
@@ -342,7 +357,7 @@ def verify_suite(r: RamificationData, *, advisory: bool = False) -> ConductorRep
                                      f"error: {ex}", False, prop_binding))
 
     # restriction to subgroups, conductor-discriminant, Weil restriction
-    bar_avg = p_average(bar, r.p, r.n)
+    bar_avg = refined_artin(r, averaged=True)
     for sub in subs:
         inputs = f"H={list(sub.members)}"
         try:
@@ -355,7 +370,7 @@ def verify_suite(r: RamificationData, *, advisory: bool = False) -> ConductorRep
         disc = discriminant_valuation(r, sub)
         reg_h, triv_h, _ = standard_characters(sub.group)
         lhs = pullback(sub.inclusion, bar_avg)
-        rhs = p_average(refined_artin(sd.data), sd.data.p, sd.data.n).scale(sd.f_mk)
+        rhs = refined_artin(sd.data, averaged=True).scale(sd.f_mk)
         rhs = rhs + reg_h.scale(Fraction(1, 2) * disc)
         add("subgroup-restriction", inputs, _enc_cf(rhs), _enc_cf(lhs), prop_binding,
             ok=lhs.values == rhs.values)

@@ -528,6 +528,17 @@ def make_root(n: int, k: int) -> Cyclotomic:
     return Cyclotomic(n, tuple(_reduce_raw(n, {k: sign})), 1)
 
 
+@lru_cache(maxsize=64)
+def roots_of_unity(n: int) -> tuple[Cyclotomic, ...]:
+    """(zeta_n^0, ..., zeta_n^(n-1)): zeta_n^k is entry k mod n.
+
+    Cached for the 64 most recently used n.  The sweep reads n <= 24, one
+    ``verify_suite`` run reads its tame order and one tame oracle call its
+    degree, so no workload evicts a table it still reads.
+    """
+    return tuple([make_root(n, k) for k in range(n)])
+
+
 def from_rational(q) -> Cyclotomic:
     q = Fraction(q)
     return Cyclotomic(1, (q.numerator,), q.denominator)

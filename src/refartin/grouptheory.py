@@ -28,7 +28,15 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .cyclotomic import Cyclotomic, ZERO, closure, cyclo_sum, from_rational, hermitian_sum, make_root
+from .cyclotomic import (
+    Cyclotomic,
+    ZERO,
+    closure,
+    cyclo_sum,
+    from_rational,
+    hermitian_sum,
+    roots_of_unity,
+)
 
 
 class GroupValidationError(ValueError):
@@ -472,7 +480,5 @@ def abelian_irreducibles(g: FiniteGroup) -> list[ClassFunction]:
         sub = sorted({g.table[h][xt_] for h in sub for xt_ in pows})
         in_sub = set(sub)
     chars.sort(key=lambda chi: tuple(chi[e] for e in range(g.order)))
-    return [
-        ClassFunction(g, tuple(make_root(n_exp, chi[cls[0]]) for cls in g.classes))
-        for chi in chars
-    ]
+    roots = roots_of_unity(n_exp)
+    return [ClassFunction(g, tuple([roots[chi[cls[0]]] for cls in g.classes])) for chi in chars]

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 from ._linalg import bareiss_poly_det, field_kernel, integer_kernel
 from ._poly import pcompose_mod, pinvmod, plow_order, pmod, pmul, presultant, psub, ptrim
-from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, make_root, multiplicative_order
+from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, multiplicative_order, roots_of_unity
 from .grouptheory import FiniteGroup, group_from_table
 from .ramification import RamificationData, build_ramification
 
@@ -67,11 +67,12 @@ class TameModel:
         O_K-basis e_j (x) pi^a (j major, a minor)."""
         n, d = self.n, len(exponents)
         dim = d * n
+        roots = roots_of_unity(n)
         rows = []
         for j in range(d):
             for a in range(n):
                 row = [ZERO] * dim
-                row[j * n + a] = make_root(n, exponents[j] + a) - ONE
+                row[j * n + a] = roots[(exponents[j] + a) % n] - ONE
                 rows.append(row)
         basis = field_kernel(rows, ONE)
         if len(basis) != d:

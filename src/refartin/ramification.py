@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import ceil, gcd
 from typing import NamedTuple, Sequence
 
-from .cyclotomic import ZERO, frobenius_average, from_terms, is_prime, make_root
+from .cyclotomic import ZERO, frobenius_average, from_terms, is_prime, roots_of_unity
 from .grouptheory import (
     ClassFunction,
     FiniteGroup,
@@ -233,7 +233,7 @@ def upper_jumps(r: RamificationData) -> list[Fraction]:
 # the Artin character and its refinement
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def bar_n(n: int) -> ClassFunction:
     """The bisecting central function on the standard cyclic group of order n,
     identified with mu_n via generator -> zeta_n:
@@ -241,6 +241,11 @@ def bar_n(n: int) -> ClassFunction:
         (1/n) * sum_{r=0}^{n-1} r * chi_r,   chi_r(zeta) = zeta^r.
 
     Its value at zeta != 1 is 1/(zeta - 1), and (n-1)/2 at the identity.
+
+    Cached for the 64 most recently used n.  One ``verify_suite`` run reads
+    n, 2n, 3n and 4n for its tame order n plus the tame orders of its
+    subgroup and quotient data (divisors of n), and the sweep reads n <= 24,
+    so a run never evicts its own entries.
     """
     vals = [from_terms(n, [(r * a, r) for r in range(n)]) * Fraction(1, n) for a in range(n)]
     return ClassFunction(cyclic_group(n), tuple(vals))
@@ -248,8 +253,8 @@ def bar_n(n: int) -> ClassFunction:
 
 def power_character(n: int, r: int) -> ClassFunction:
     """chi_r on the standard cyclic group of order n: a -> zeta_n^(r a)."""
-    g = cyclic_group(n)
-    return ClassFunction(g, tuple([make_root(n, r * a) for a in range(n)]))
+    roots = roots_of_unity(n)
+    return ClassFunction(cyclic_group(n), tuple([roots[r * a % n] for a in range(n)]))
 
 
 def _induced_augmentation(s: Subgroup) -> ClassFunction:
@@ -286,8 +291,8 @@ def _tame_part_on_quotient(
     return pushforward(g0.inclusion, ClassFunction(g0.group, tuple(vals)))
 
 
-@lru_cache(maxsize=64)
-def refined_artin(r: RamificationData) -> ClassFunction:
+@lru_cache(maxsize=128)
+def refined_artin(r: RamificationData, *, averaged: bool = False) -> ClassFunction:
     """The refined Artin character, built from the lower-numbering filtration:
 
         Ind_{Gamma_0}^Gamma Inf(Psi^* bar_n)
@@ -297,11 +302,20 @@ def refined_artin(r: RamificationData) -> ClassFunction:
     every induction going straight to Gamma.  Values lie in Q(zeta_n); adding
     the valuewise conjugate gives back the Artin character.
 
-    Results are cached for the 64 most recently used data.  One
-    ``verify_suite`` run needs the datum itself plus one datum per subgroup
-    and per quotient, at most 34 on the curated fixtures and benchmark group
-    jobs, so a run never evicts its own entries.
+    With ``averaged=True`` the result is the Frobenius average
+    :func:`p_average` of that character over zeta -> zeta^p, which depends on
+    the datum alone, so it is computed once per datum however many
+    characters it is paired with.  Callers pass ``averaged`` only when it is true: the cache
+    keys ``refined_artin(r)`` and ``refined_artin(r, averaged=False)`` apart.
+
+    Results are cached for the 128 most recently used calls, 64 data in both
+    forms.  One ``verify_suite`` run needs the datum itself plus one datum
+    per subgroup and per quotient, at most 34 on the curated fixtures and
+    benchmark group jobs, so a run never evicts its own entries.
     """
+    if averaged:
+        bar = refined_artin(r)
+        return p_average(bar, r.p, r.n)
     total = _tame_part_on_quotient(r, r.subgroup_at(0), r.members_at(1))
     for i in range(1, len(r.filtration)):
         s = r.subgroup_at(i)

@@ -283,6 +283,38 @@ def test_oracle_errors(tmp_path, capsys):
     assert main(["oracle", "monogenic", bad, "--module", "regular"]) == 3
 
 
+@pytest.mark.parametrize(
+    "args, limit",
+    [
+        (["0", "1"], "between 1 and 200, not 0"),
+        (["-3", "1"], "between 1 and 200, not -3"),
+        (["201", "1"], "between 1 and 200, not 201"),
+        ([str(10**8), "1"], f"between 1 and 200, not {10**8}"),
+        (["5"] + ["1"] * 9, "at most 8 exponents, not 9"),
+    ],
+)
+def test_oracle_tame_admission_limits(monkeypatch, capsys, args, limit):
+    import refartin.cli as cli
+
+    def never(n, exponents):
+        raise AssertionError("the oracle ran on an inadmissible input")
+
+    monkeypatch.setattr(cli, "oracle_tame_clin", never)
+    assert main(["oracle", "tame", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle tame") and limit in err
+
+
+def test_oracle_tame_admits_the_limits(monkeypatch, capsys):
+    import refartin.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "oracle_tame_clin", lambda n, exps: calls.append((n, exps)) or 0)
+    assert main(["oracle", "tame", "200", "1"]) == 0
+    assert main(["oracle", "tame", "1", *["0"] * 8]) == 0
+    assert calls == [(200, [1]), (1, [0] * 8)]
+
+
 def test_rep_value_count_mismatch(tmp_path, capsys):
     job = json.loads(json.dumps(QUAD_JOB))
     job["reps"]["chi"]["values"] = ["1", "-1", "1"]

@@ -252,6 +252,59 @@ def test_verify_suite_computes_each_conductor_once(monkeypatch):
     assert on_subdata and len(set(on_subdata)) == len(on_subdata)
 
 
+def _count_p_average(monkeypatch) -> list:
+    """Record the (p, n) of every ramification.p_average call, starting from
+    an empty refined_artin cache."""
+    import refartin.ramification as ramification
+
+    calls = []
+
+    def counting(chi, p, n):
+        calls.append((p, n))
+        return p_average(chi, p, n)
+
+    monkeypatch.setattr(ramification, "p_average", counting)
+    refined_artin.cache_clear()
+    return calls
+
+
+def test_averaged_conductor_averages_once(monkeypatch):
+    calls = _count_p_average(monkeypatch)
+    r = tame_cyclic(12, 13)
+    chis = qp_irreducibles_cyclic(12, 13)
+    assert len(chis) == 12
+    for chi in chis:
+        conductor(r, chi, averaged=True)
+    assert len(calls) == 1
+
+
+def test_verify_suite_averages_once_per_datum(monkeypatch):
+    calls = _count_p_average(monkeypatch)
+    r = tame_cyclic(12, 13)
+    verify_suite(r)
+    data = {r} | {subgroup_data(r, sub).data for sub in all_subgroups(r.gamma)}
+    assert 0 < len(calls) <= len(data)
+
+
+def test_qp_irreducibles_build_one_period_per_orbit(monkeypatch):
+    import sys
+
+    from refartin.cyclotomic import from_terms
+
+    conductor_module = sys.modules["refartin.conductor"]
+    calls = []
+
+    def counting(n, terms):
+        calls.append(n)
+        return from_terms(n, terms)
+
+    monkeypatch.setattr(conductor_module, "from_terms", counting)
+    for n, p in [(12, 13), (12, 5), (12, 2), (16, 3), (9, 3), (7, 0)]:
+        calls.clear()
+        chis = qp_irreducibles_cyclic(n, p)
+        assert len(calls) == len(chis)
+
+
 def test_report_records_are_exact_and_serializable():
     import json
 

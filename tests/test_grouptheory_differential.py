@@ -96,7 +96,8 @@ def test_pair_matches_reference(fs):
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 11])
 def test_qp_irreducibles_match_reference(p):
-    for n in range(1, 31):
+    # p = 2, 3, 5 divide some n here, where non-units have shorter orbits
+    for n in range(1, 49):
         assert qp_irreducibles_cyclic(n, p) == ref.qp_irreducibles_cyclic(n, p)
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from refartin.cyclotomic import ONE, ZERO, make_root
+from refartin.cyclotomic import ONE, ZERO, make_root, roots_of_unity
 from refartin.fixtures import (
     mixed_c6,
     mixed_c6_abstract,
@@ -170,6 +170,33 @@ def test_bar_n_examples():
         bn = bar_n(n)
         for r in range(n):
             assert pair(bn, power_character(n, r)).rational() == Fraction(r, n)
+
+
+def test_power_character_matches_per_value_roots():
+    # reference: each value built on its own, with the exponent left unreduced
+    for n in range(1, 49):
+        for r in range(-n, 2 * n + 1):
+            want = tuple([make_root(n, r * a) for a in range(n)])
+            assert power_character(n, r).values == want
+
+
+def test_power_character_reads_the_roots_table(monkeypatch):
+    import refartin.cyclotomic as cyclotomic
+
+    roots_of_unity(12)
+
+    def no_make_root(n, k):
+        raise AssertionError("make_root called once the table exists")
+
+    monkeypatch.setattr(cyclotomic, "make_root", no_make_root)
+    assert power_character(12, 5).values[1] == roots_of_unity(12)[5]
+
+
+def test_refined_artin_averaged_form_is_the_cached_average():
+    for r in [tame_cyclic(6, 5), mixed_c6(), quad_sqrt2()]:
+        avg = refined_artin(r, averaged=True)
+        assert avg.values == p_average(refined_artin(r), r.p, r.n).values
+        assert refined_artin(r, averaged=True) is avg
 
 
 def test_bar_n_closed_form():
