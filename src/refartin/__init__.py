@@ -17,6 +17,7 @@ from .grouptheory import (
     ClassFunction,
     FiniteGroup,
     GroupHom,
+    GroupOrderError,
     GroupValidationError,
     Subgroup,
     abelian_irreducibles,

@@ -1,8 +1,12 @@
 """Command-line front end: validate job files, compute characters and
 conductors, run the verification battery, and drive the lattice oracles.
 
-Exit codes: 0 success, 1 binding verification failure, 2 input/format error,
-3 computation error (e.g. an irrational pairing under --strict-rational).
+Exit codes: 0 success; 1 a binding verification failure (``validate`` and
+``verify`` count invalid ramification data as one); else the first match in
+``main``'s table: 3 "computation error:" for NotRationalError, StabilityError
+and OracleError, 2 "error:" for InputError, GroupOrderError, ValueError,
+ZeroDivisionError and OSError.  Parsing admits group orders <= 200, value
+conductors n <= 400, p < psi_13 and ``oracle tame`` N <= 200, <= 8 exponents.
 
 Job files are JSON:
 
@@ -33,16 +37,16 @@ import json
 import sys
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, NotRationalError, parse_value
+from .cyclotomic import PSI_13, NotRationalError, parse_value
 from .grouptheory import (
+    MAX_GROUP_ORDER,
     ClassFunction,
-    GroupValidationError,
+    GroupOrderError,
     build_group,
     subgroup,
 )
 from .ramification import (
     RamificationData,
-    RamificationError,
     artin_character,
     build_ramification,
     herbrand_phi,
@@ -81,9 +85,13 @@ FORMAT_VERSION = 1
 TAME_MAX_DEGREE = 200
 TAME_MAX_EXPONENTS = 8
 
+# characters of a group of order m take values in Q(zeta_m) = Q(zeta_2m) (m odd),
+# so 2 * 200 covers them; parse_value allocates a row of n and builds Phi_n
+MAX_VALUE_CONDUCTOR = 2 * MAX_GROUP_ORDER
+
 
 class InputError(Exception):
-    """Anything wrong with the job file itself."""
+    """Anything wrong with the job file itself; not a ValueError, so never a verdict."""
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +99,10 @@ class InputError(Exception):
 
 
 def _read_json(path: str):
-    """Parse a JSON file; every way the file itself can be bad is an InputError."""
+    """Parse a JSON file: an unreadable file raises OSError, a bad one InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as ex:
-        raise InputError(f"cannot read {path}: {ex}") from ex
     except UnicodeDecodeError as ex:
         raise InputError(f"{path}: not UTF-8 text: {ex.reason} at byte {ex.start}") from ex
     except json.JSONDecodeError as ex:
@@ -135,11 +141,20 @@ def _rational(value, where: str) -> None:
         raise InputError(f"{where} must be a string or an integer, not {json.dumps(value)}")
 
 
+def _checked_p(value, where: str) -> int:
+    """An integer residue characteristic small enough for primality to be decided."""
+    if _integers(value, 0, where) >= PSI_13:
+        raise InputError(f"{where} must be below the primality testing limit {PSI_13}, not {value}")
+    return value
+
+
 def _value(value, where: str) -> None:
     """``value`` checked to be a rational or {"n": N, "terms": [[k, c], ...]}."""
     if not isinstance(value, dict):
         return _rational(value, where)
-    _integers(value.get("n"), 0, f"{where}.n")
+    n = _integers(value.get("n"), 0, f"{where}.n")
+    if not 1 <= n <= MAX_VALUE_CONDUCTOR:
+        raise InputError(f"{where}.n must be between 1 and {MAX_VALUE_CONDUCTOR}, not {n}")
     terms = value.get("terms", [])
     if not isinstance(terms, list) or any(not isinstance(t, list) or len(t) != 2 for t in terms):
         raise InputError(f"{where}.terms must be an array of [k, c] pairs, not {json.dumps(terms)}")
@@ -168,7 +183,7 @@ def ramification_from_job(job: dict) -> RamificationData:
                 _integers(sec["tame"][k], 0, f"ramification.tame.{k}")
                 for k in ("generator", "exponent")
             )
-        return build_ramification(gamma, filtration, _integers(sec["p"], 0, "ramification.p"), tame)
+        return build_ramification(gamma, filtration, _checked_p(sec["p"], "ramification.p"), tame)
     except KeyError as ex:
         raise InputError(f"ramification section is missing {ex}") from ex
 
@@ -202,6 +217,7 @@ def oracle_from_job(obj) -> tuple[MonogenicOrder, list | None]:
         fields = [_integers(sec[k], depth, f"oracle.{k}") for k, depth in _ORDER_DEPTH]
     except KeyError as ex:
         raise InputError(f"oracle section is missing {ex}") from ex
+    _checked_p(fields[0], "oracle.p")
     module = sec.get("module")
     if module is not None:
         _integers(module, 3, "oracle.module")
@@ -210,12 +226,6 @@ def oracle_from_job(obj) -> tuple[MonogenicOrder, list | None]:
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-
-def _emit_value(v) -> str:
-    if isinstance(v, Cyclotomic):
-        return json.dumps(v.encode(), sort_keys=True, separators=(",", ":"))
-    return str(v)
 
 
 def _emit_class_function(chi: ClassFunction, fmt: str, out) -> None:
@@ -230,7 +240,8 @@ def _emit_class_function(chi: ClassFunction, fmt: str, out) -> None:
         )
     else:
         for i, v in enumerate(chi.values):
-            print(f"class {i}: {_emit_value(v)}", file=out)
+            print(f"class {i}: {json.dumps(v.encode(), sort_keys=True, separators=(',', ':'))}",
+                  file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +252,7 @@ def cmd_validate(args) -> int:
     job = load_job(args.path)
     try:
         ramification_from_job(job)
-    except (RamificationError, GroupValidationError, ValueError) as ex:
+    except ValueError as ex:  # a datum that violates an invariant is the verdict
         print(f"invalid: {ex}", file=sys.stderr)
         return EXIT_BINDING_FAILURE
     print("ok")
@@ -251,44 +262,35 @@ def cmd_validate(args) -> int:
 def cmd_compute(args) -> int:
     job = load_job(args.path)
     what, rest = args.what, args.args
-    try:
-        data = ramification_from_job(job)
-        options = job.get("options", {})
-        if not isinstance(options, dict):
-            raise InputError(f"options must be an object, not {json.dumps(options)}")
-        averaged = args.p_average or bool(options.get("p_average"))
-        strict = args.strict_rational or bool(options.get("strict_rational"))
-        on_unstable = "error" if strict else "warn"
-        if what == "artin":
-            _emit_class_function(artin_character(data), args.format, sys.stdout)
-        elif what in ("bar", "bar-avg"):  # bar-avg is bar --p-average
-            if averaged or what == "bar-avg":
-                chi = refined_artin(data, averaged=True)
-            else:
-                chi = refined_artin(data)
-            _emit_class_function(chi, args.format, sys.stdout)
-        elif what == "conductor":
-            chi = rep_from_job(job, _one_arg(rest, "conductor REP"), data)
-            print(conductor(data, chi, averaged=averaged, on_unstable=on_unstable))
-        elif what == "artin-conductor":
-            chi = rep_from_job(job, _one_arg(rest, "artin-conductor REP"), data)
-            print(artin_conductor(data, chi))
-        elif what == "herbrand":
-            if len(rest) != 2 or rest[0] not in ("phi", "psi"):
-                raise InputError("usage: compute PATH herbrand {phi|psi} RATIONAL")
-            fn = herbrand_phi if rest[0] == "phi" else herbrand_psi
-            print(fn(data, Fraction(rest[1])))
-        elif what == "disc":
-            members = [int(x) for x in _one_arg(rest, "disc MEMBERS").split(",")]
-            print(discriminant_valuation(data, subgroup(data.gamma, members)))
+    data = ramification_from_job(job)
+    options = job.get("options", {})
+    if not isinstance(options, dict):
+        raise InputError(f"options must be an object, not {json.dumps(options)}")
+    averaged = args.p_average or bool(options.get("p_average"))
+    strict = args.strict_rational or bool(options.get("strict_rational"))
+    on_unstable = "error" if strict else "warn"
+    if what == "artin":
+        _emit_class_function(artin_character(data), args.format, sys.stdout)
+    elif what in ("bar", "bar-avg"):  # bar-avg is bar --p-average
+        if averaged or what == "bar-avg":
+            chi = refined_artin(data, averaged=True)
         else:
-            raise InputError(f"unknown computation {what!r}")
-    except (NotRationalError, StabilityError) as ex:
-        print(f"computation error: {ex}", file=sys.stderr)
-        return EXIT_COMPUTE_ERROR
-    except (RamificationError, GroupValidationError, ValueError, ZeroDivisionError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+            chi = refined_artin(data)
+        _emit_class_function(chi, args.format, sys.stdout)
+    elif what == "conductor":
+        chi = rep_from_job(job, _one_arg(rest, "conductor REP"), data)
+        print(conductor(data, chi, averaged=averaged, on_unstable=on_unstable))
+    elif what == "artin-conductor":
+        chi = rep_from_job(job, _one_arg(rest, "artin-conductor REP"), data)
+        print(artin_conductor(data, chi))
+    elif what == "herbrand":
+        if len(rest) != 2 or rest[0] not in ("phi", "psi"):
+            raise InputError("usage: compute PATH herbrand {phi|psi} RATIONAL")
+        fn = herbrand_phi if rest[0] == "phi" else herbrand_psi
+        print(fn(data, Fraction(rest[1])))
+    else:  # disc
+        members = [int(x) for x in _one_arg(rest, "disc MEMBERS").split(",")]
+        print(discriminant_valuation(data, subgroup(data.gamma, members)))
     return EXIT_OK
 
 
@@ -302,7 +304,7 @@ def cmd_verify(args) -> int:
     job = load_job(args.path)
     try:
         data = ramification_from_job(job)
-    except (RamificationError, GroupValidationError, ValueError) as ex:
+    except ValueError as ex:
         # admissibility is the zeroth binding check
         record = ReportRecord(
             "admissibility", args.path, "valid ramification data", f"error: {ex}", False, True
@@ -318,54 +320,43 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     sub = args.oracle_what
-    try:
-        if sub == "tame":
-            if len(args.args) < 2:
-                raise InputError("usage: oracle tame N I [I ...]")
-            try:
-                n, *exps = map(int, args.args)
-            except ValueError:
-                raise InputError(f"oracle tame takes integers, not {' '.join(args.args)}") from None
-            if not 1 <= n <= TAME_MAX_DEGREE:
-                raise InputError(
-                    f"oracle tame degree N must be between 1 and {TAME_MAX_DEGREE}, not {n}"
-                )
-            if len(exps) > TAME_MAX_EXPONENTS:
-                raise InputError(
-                    f"oracle tame takes at most {TAME_MAX_EXPONENTS} exponents, not {len(exps)}"
-                )
-            print(oracle_tame_clin(n, exps))
-        elif sub == "monogenic":
-            if len(args.args) != 1:
-                raise InputError("usage: oracle monogenic ORDER.json [--module NAME]")
-            order, module = oracle_from_job(_read_json(args.args[0]))
-            if args.module == "regular" or (args.module is None and module is None):
-                action = regular_action(order.group)
-            elif args.module is None:
-                action = module
-            else:
-                raise InputError(f"unknown module {args.module!r} (only 'regular' is named)")
-            print(oracle_monogenic_clin(order, action))
-        elif sub == "derive-fixture":
-            if len(args.args) != 1:
-                raise InputError("usage: oracle derive-fixture ORDER.json [-o OUT]")
-            order, _ = oracle_from_job(_read_json(args.args[0]))
-            data = filtration_from_monogenic(order, args.prime_choice)
-            out = _job_from_data(data)
-            text = json.dumps(out, indent=2, sort_keys=True)
-            if args.output:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            else:
-                print(text)
+    if sub == "tame":
+        if len(args.args) < 2:
+            raise InputError("usage: oracle tame N I [I ...]")
+        if not all(a.removeprefix("-").isdecimal() for a in args.args):
+            raise InputError(f"oracle tame takes integers, not {' '.join(args.args)}")
+        n, *exps = map(int, args.args)
+        if not 1 <= n <= TAME_MAX_DEGREE:
+            raise InputError(
+                f"oracle tame degree N must be between 1 and {TAME_MAX_DEGREE}, not {n}"
+            )
+        if len(exps) > TAME_MAX_EXPONENTS:
+            raise InputError(
+                f"oracle tame takes at most {TAME_MAX_EXPONENTS} exponents, not {len(exps)}"
+            )
+        print(oracle_tame_clin(n, exps))
+    elif sub == "monogenic":
+        if len(args.args) != 1:
+            raise InputError("usage: oracle monogenic ORDER.json [--module NAME]")
+        order, module = oracle_from_job(_read_json(args.args[0]))
+        if args.module == "regular" or (args.module is None and module is None):
+            action = regular_action(order.group)
+        elif args.module is None:
+            action = module
         else:
-            raise InputError(f"unknown oracle subcommand {sub!r}")
-    except OSError as ex:  # writing the -o file
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (OracleError, ValueError) as ex:
-        print(f"computation error: {ex}", file=sys.stderr)
-        return EXIT_COMPUTE_ERROR
+            raise InputError(f"unknown module {args.module!r} (only 'regular' is named)")
+        print(oracle_monogenic_clin(order, action))
+    else:  # derive-fixture
+        if len(args.args) != 1:
+            raise InputError("usage: oracle derive-fixture ORDER.json [-o OUT]")
+        order, _ = oracle_from_job(_read_json(args.args[0]))
+        data = filtration_from_monogenic(order, args.prime_choice)
+        text = json.dumps(_job_from_data(data), indent=2, sort_keys=True)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     return EXIT_OK
 
 
@@ -430,7 +421,12 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as ex:
+    # the exit-code table, first match winning: StabilityError and OracleError
+    # are ValueErrors, so the computation row comes first
+    except (NotRationalError, StabilityError, OracleError) as ex:
+        print(f"computation error: {ex}", file=sys.stderr)
+        return EXIT_COMPUTE_ERROR
+    except (InputError, GroupOrderError, ValueError, ZeroDivisionError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -189,10 +189,8 @@ def transport_to_cyclic(group_chi: ClassFunction, target: FiniteGroup) -> ClassF
         raise ValueError("groups have different orders")
     gen = min(g for g in range(n) if target.element_order(g) == n)
     values = [None] * len(target.classes)
-    x = 0
-    for j in range(n):
-        values[target.class_of[x]] = group_chi.values[j % n]
-        x = target.table[x][gen]
+    for j, x in enumerate(target.powers(gen)):
+        values[target.class_of[x]] = group_chi.values[j]
     return ClassFunction(target, tuple(values))
 
 

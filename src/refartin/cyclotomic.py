@@ -88,7 +88,7 @@ def prime_factors(n: int) -> tuple[int, ...]:
 # Sorenson and Webster (2015): Miller-Rabin with the first 13 prime bases is
 # exact for every n below psi_13.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3_317_044_064_679_887_385_961_981
+PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
@@ -97,7 +97,7 @@ def is_prime(n: int) -> bool:
     Exact for n < psi_13 = 3317044064679887385961981; raises ValueError for
     larger n, where these bases are no longer proven sufficient.
     """
-    if n >= _PSI_13:
+    if n >= PSI_13:
         raise ValueError(f"{n} is beyond the range of deterministic primality testing")
     if n < 2:
         return False
@@ -133,13 +133,14 @@ def multiplicative_order(a: int, n: int) -> int:
     return r
 
 
-def closure(gens: Iterable, mul: Callable, one) -> set:
+def closure(gens: Iterable, mul: Callable, one, limit: int | None = None) -> set:
     """Everything reachable from ``one`` by multiplying on the right by the
-    generators, breadth first: the subgroup they generate in a finite group."""
+    generators, breadth first: the subgroup they generate in a finite group.
+    With a ``limit`` it returns early, after the level that passes ``limit``."""
     gens = list(gens)
     seen = {one}
     frontier = [one]
-    while frontier:
+    while frontier and (limit is None or len(seen) <= limit):
         nxt = []
         for x in frontier:
             for g in gens:

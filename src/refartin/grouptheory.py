@@ -1,10 +1,12 @@
 """Finite groups given by multiplication tables, and class functions on them.
 
-Groups are small (order <= ~200), so everything is table-driven: elements are
-indices 0..m-1 with the identity at index 0, conjugacy classes are computed on
+Groups are small, so everything is table-driven: elements are indices
+0..m-1 with the identity at index 0, conjugacy classes are computed on
 construction, and homomorphisms are plain index maps.  Checks run at the
-input boundary: :func:`group_from_table` verifies the axioms of a table given
-from outside and :func:`hom` a map given from outside, pairwise.  Derived
+input boundary: :func:`build_group` refuses a spec whose group has more than
+MAX_GROUP_ORDER = 200 elements before any table is built,
+:func:`group_from_table` verifies the axioms of a table given from outside
+and :func:`hom` a map given from outside, pairwise.  Derived
 tables (cyclic, abelian and permutation groups, subgroups, quotients) are
 groups by construction and go through ``_group``, which only derives inverses
 and classes; inclusions, projections and composites are not re-checked.
@@ -25,8 +27,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Iterable, Sequence
+from math import lcm, prod
+from typing import Container, Iterable, Sequence
 
 from .cyclotomic import (
     Cyclotomic,
@@ -41,6 +43,14 @@ from .cyclotomic import (
 
 class GroupValidationError(ValueError):
     """Raised when group-theoretic input violates a structural invariant."""
+
+
+class GroupOrderError(Exception):
+    """A group spec past MAX_GROUP_ORDER: refused for its size, so not a ValueError."""
+
+
+# the largest group a spec may name: m x m tables, and lattices enumerated whole
+MAX_GROUP_ORDER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +73,18 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    def powers(self, g: int, stop: Container[int] = (0,)) -> list[int]:
+        """The element indices [0, g, g^2, ..., g^(r-1)] (index 0 is the
+        identity), r the least r >= 1 with g^r in ``stop``, which must hold
+        the identity; by default the cyclic subgroup <g>, in order."""
+        out, x = [0], g
+        while x not in stop:
+            out.append(x)
+            x = self.table[x][g]
+        return out
+
     def element_order(self, a: int) -> int:
-        x, r = a, 1
-        while x != 0:
-            x = self.table[x][a]
-            r += 1
-        return r
+        return len(self.powers(a))
 
     def exponent(self) -> int:
         return lcm(*(self.element_order(g) for g in range(self.order)))
@@ -148,26 +164,27 @@ def abelian_group(invariants: tuple[int, ...]) -> FiniteGroup:
 
 def perm_group(generator_cycles: Sequence[Sequence[Sequence[int]]]) -> FiniteGroup:
     """Group generated by permutations given in cycle notation (1-based
-    points); the cycles of one generator must be disjoint."""
-    points = 1
-    for cycles in generator_cycles:
-        for cyc in cycles:
-            if any(p < 1 for p in cyc):
-                raise GroupValidationError("cycle points are 1-based positive integers")
-            if cyc:
-                points = max(points, max(cyc))
+    points); the cycles of one generator must be disjoint.  Points that
+    occur are numbered by rank, which keeps the lexicographic element order."""
+    points = sorted({q for cycles in generator_cycles for cyc in cycles for q in cyc})
+    if points and points[0] < 1:
+        raise GroupValidationError("cycle points are 1-based positive integers")
+    rank = {q: i for i, q in enumerate(points)}
     perms = []
     for cycles in generator_cycles:
-        p = list(range(points))
+        p = list(range(len(points)))
         for cyc in cycles:
             if len(set(cyc)) != len(cyc):
                 raise GroupValidationError(f"cycle {list(cyc)} repeats a point")
-            for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-                p[a - 1] = b - 1
-        if len(set(p)) != points:
+            for a, b in zip(cyc, list(cyc[1:]) + list(cyc[:1])):
+                p[rank[a]] = rank[b]
+        if len(set(p)) != len(points):
             raise GroupValidationError(f"cycles {cycles} of one generator are not disjoint")
         perms.append(tuple(p))
-    elements = closure(perms, lambda a, b: tuple(a[i] for i in b), tuple(range(points)))
+    one = tuple(range(len(points)))
+    elements = closure(perms, lambda a, b: tuple(a[i] for i in b), one, MAX_GROUP_ORDER)
+    if len(elements) > MAX_GROUP_ORDER:
+        raise GroupOrderError(f"permutation group order is past the limit {MAX_GROUP_ORDER}")
     ordered = sorted(elements)  # the identity is the lexicographic minimum
     index = {p: i for i, p in enumerate(ordered)}
     return _group(tuple([
@@ -178,10 +195,14 @@ def perm_group(generator_cycles: Sequence[Sequence[Sequence[int]]]) -> FiniteGro
 def build_group(spec: dict) -> FiniteGroup:
     """Build a group from a spec dict: one of {"cyclic": n},
     {"abelian": [n1, ...]}, {"perm": [[...cycles...], ...]}, {"table": [[...]]}.
+    Past MAX_GROUP_ORDER it raises :class:`GroupOrderError` before any table is built.
     """
     if not isinstance(spec, dict) or len(spec) != 1:
         raise GroupValidationError(f"bad group spec {spec!r}")
     ((kind, arg),) = spec.items()
+    orders = {"cyclic": int, "abelian": lambda arg: prod(map(int, arg)), "table": len}
+    if kind in orders and (order := orders[kind](arg)) > MAX_GROUP_ORDER:
+        raise GroupOrderError(f"{kind} group order {order} is past the limit {MAX_GROUP_ORDER}")
     if kind == "cyclic":
         return cyclic_group(int(arg))
     if kind == "abelian":
@@ -316,11 +337,7 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """
     cyclic: dict[frozenset[int], int] = {}  # member set -> a generator
     for h in range(g.order):
-        powers, x = {0}, h
-        while x:
-            powers.add(x)
-            x = g.table[x][h]
-        cyclic.setdefault(frozenset(powers), h)
+        cyclic.setdefault(frozenset(g.powers(h)), h)
     found = {c: (h,) for c, h in cyclic.items()}  # member set -> generators
     todo = list(found)
     while todo:
@@ -451,18 +468,13 @@ def abelian_irreducibles(g: FiniteGroup) -> list[ClassFunction]:
     if not g.is_abelian():
         raise GroupValidationError("irreducible enumeration implemented for abelian groups only")
     n_exp = g.exponent()
-    sub = [0]
     in_sub = {0}
     chars: list[dict[int, int]] = [{0: 0}]
-    while len(sub) < g.order:
+    while len(in_sub) < g.order:
         x = next(e for e in range(g.order) if e not in in_sub)
-        pows = [0]
-        xt = x
-        while xt not in in_sub:
-            pows.append(xt)
-            xt = g.table[xt][x]
+        pows = g.powers(x, in_sub)
         s = len(pows)  # least s >= 1 with x^s in H; s divides exponent(G)
-        y = xt  # x^s
+        y = g.table[pows[-1]][x]  # x^s
         assert n_exp % s == 0
         new_chars = []
         for chi in chars:
@@ -477,8 +489,7 @@ def abelian_irreducibles(g: FiniteGroup) -> list[ClassFunction]:
                         full[g.table[h][pows[t]]] = (ce + te) % n_exp
                 new_chars.append(full)
         chars = new_chars
-        sub = sorted({g.table[h][xt_] for h in sub for xt_ in pows})
-        in_sub = set(sub)
+        in_sub = {g.table[h][xt_] for h in in_sub for xt_ in pows}
     chars.sort(key=lambda chi: tuple(chi[e] for e in range(g.order)))
     roots = roots_of_unity(n_exp)
     return [ClassFunction(g, tuple([roots[chi[cls[0]]] for cls in g.classes])) for chi in chars]

@@ -174,12 +174,7 @@ def _shape(filtration: Sequence[Sequence[int]]) -> tuple[list[frozenset[int]], i
 
 def proj_order(gamma: FiniteGroup, groups: Sequence[frozenset[int]], g: int) -> int:
     """Order of g modulo Gamma_1 (inside Gamma_0/Gamma_1)."""
-    g1 = groups[1] if len(groups) > 1 else frozenset({0})
-    x, r = g, 1
-    while x not in g1:
-        x = gamma.table[x][g]
-        r += 1
-    return r
+    return len(gamma.powers(g, groups[1] if len(groups) > 1 else (0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +416,11 @@ def _dlog_mod_wild(r: RamificationData, g: int, wild: frozenset[int] | None = No
     ``wild`` is the member set of Gamma_1 (by default the lower-numbering one)."""
     if wild is None:
         wild = r.members_at(1)
-    x, t = 0, 0
-    gen = r.tame_generator
-    for t in range(r.n):
+    g_inv = r.gamma.inverse[g]
+    for t, x in enumerate(r.gamma.powers(r.tame_generator, wild)):
         # does gen^t = g mod Gamma_1, i.e. gen^t * g^-1 in Gamma_1?
-        if r.gamma.table[x][r.gamma.inverse[g]] in wild:
+        if r.gamma.table[x][g_inv] in wild:
             return t
-        x = r.gamma.table[x][gen]
     raise RamificationError("element does not lie in the tame quotient span")
 
 

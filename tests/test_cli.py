@@ -482,3 +482,52 @@ def test_wrongly_typed_field_is_an_input_error(tmp_path, capsys, command, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must be an ")
     assert "Traceback" not in err
+
+
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["validate", "job"], "ramification.p"),
+        (["verify", "job"], "ramification.p"),
+        (["compute", "job", "bar"], "ramification.p"),
+        (["compute", "job", "conductor", "chi"], "reps.chi.values[1].n"),
+        (["oracle", "monogenic", "order"], "oracle.p"),
+        (["oracle", "derive-fixture", "order"], "oracle.p"),
+    ],
+)
+def test_numbers_past_their_limits_are_input_errors(tmp_path, capsys, argv, field):
+    job = json.loads(json.dumps(QUAD_JOB))
+    if field == "ramification.p":
+        job["ramification"]["p"] = PSI_13
+    job["reps"]["chi"]["values"][1] = {"n": 401, "terms": [[1, "1"]]}
+    files = {"job": write(tmp_path, "job.json", job),
+             "order": write(tmp_path, "order.json", dict(QUAD_ORDER, p=PSI_13))}
+    assert main([files.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    limit = "between 1 and 400, not 401" if field.startswith("reps") else f"below the primality"
+    assert err.startswith(f"error: {field} must be {limit}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"cyclic": 201}, {"abelian": [3, 67]}, {"table": [[0]] * 201},
+     {"perm": [[list(range(1, 202))]]}],  # a 201-cycle
+    ids=["cyclic", "abelian", "table", "perm"],
+)
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_group_order_limit_is_an_input_error(tmp_path, monkeypatch, capsys, spec, command):
+    import refartin.grouptheory as gt
+
+    def never(*args):
+        raise AssertionError("a group table was built for an inadmissible spec")
+
+    for builder in ("cyclic_group", "abelian_group", "group_from_table", "_group"):
+        monkeypatch.setattr(gt, builder, never)
+    job = dict(QUAD_JOB, ramification={"group": spec, "filtration": [[0]], "p": 2})
+    assert main([command, write(tmp_path, "big.json", job)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "past the limit 200" in err

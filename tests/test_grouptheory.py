@@ -6,6 +6,7 @@ import pytest
 from refartin.cyclotomic import ONE, ZERO, from_rational, make_root
 from refartin.grouptheory import (
     ClassFunction,
+    GroupOrderError,
     GroupValidationError,
     abelian_irreducibles,
     all_normal_subgroups,
@@ -60,6 +61,29 @@ def test_perm_group_validation():
         build_group({"perm": [[[1, 1]]]})
     with pytest.raises(GroupValidationError, match="not disjoint"):
         build_group({"perm": [[[3, 1], [1, 2]]]})  # maps 1 -> 2 and 3 -> 1 -> 2
+
+
+def test_perm_group_numbers_only_the_points_that_occur():
+    assert build_group({"perm": [[[1, 10**30]]]}).order == 2
+    assert build_group({"perm": [[[]], [[5, 7, 9]]]}).order == 3  # an empty cycle is trivial
+    assert build_group({"perm": [[[2, 4]], [[2, 4, 6]]]}).table == s3().table
+
+
+def test_group_specs_past_the_order_limit_are_refused():
+    for spec in ({"cyclic": 201}, {"abelian": [201]}, {"table": [[0]] * 201},
+                 {"perm": [[list(range(1, 202))]]}):
+        with pytest.raises(GroupOrderError, match="past the limit 200"):
+            build_group(spec)
+    assert build_group({"perm": [[list(range(1, 201))]]}).order == 200
+
+
+def test_powers():
+    c12 = cyclic_group(12)
+    assert c12.powers(1) == list(range(12))
+    assert c12.powers(8) == [0, 8, 4] and c12.element_order(8) == 3
+    assert c12.powers(0) == [0]
+    assert c12.powers(1, stop={0, 4, 8}) == [0, 1, 2, 3]  # coset representatives mod <4>
+    assert c12.powers(4, stop={0, 4, 8}) == [0]
 
 
 def test_subgroup_quotient_hom_examples():
