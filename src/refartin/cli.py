@@ -6,7 +6,8 @@ Exit codes: 0 success; 1 a binding verification failure (``validate`` and
 ``main``'s table: 3 "computation error:" for NotRationalError, StabilityError
 and OracleError, 2 "error:" for InputError, GroupOrderError, ValueError,
 ZeroDivisionError and OSError.  Parsing admits group orders <= 200, value
-conductors n <= 400, p < psi_13 and ``oracle tame`` N <= 200, <= 8 exponents.
+conductors n <= 400, a rep whose value conductors and tame order have lcm
+<= 400, p < psi_13 and ``oracle tame`` N <= 200, <= 8 exponents.
 
 Job files are JSON:
 
@@ -36,6 +37,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import PSI_13, NotRationalError, parse_value
 from .grouptheory import (
@@ -204,6 +206,11 @@ def rep_from_job(job: dict, name: str, data: RamificationData) -> ClassFunction:
             f"representation {name!r} has {len(vals)} values, "
             f"expected one per conjugacy class ({len(data.gamma.classes)})"
         )
+    # the pairing with bAr reduces at this lcm, not at each value's conductor
+    n = lcm(data.n, *[v.conductor for v in vals])
+    if n > MAX_VALUE_CONDUCTOR:
+        raise InputError(f"reps.{name} pairs at conductor {n}, the lcm of its value conductors "
+                         f"and the tame order {data.n}, past the limit {MAX_VALUE_CONDUCTOR}")
     return ClassFunction(data.gamma, vals)
 
 

@@ -10,12 +10,12 @@ Values are always kept at the *smallest* conductor realizing them, so
 equality is plain equality of (conductor, numerators, denominator).
 Conductors congruent to 2 mod 4 are never used (Q(zeta_2m) = Q(zeta_m) for
 odd m); conductor-1 values are exactly the rationals.  The canonical form
-descends one prime at a time through cached integer matrices
-(:func:`_projection`): a few integer dot products decide whether the value
-lies in the subfield and, if it does, give its numerators there, so no
-linear system is ever solved.  The inverse is the product of the other
-Galois conjugates over the norm.  :func:`hermitian_sum`, the kernel of the
-class-function pairing, accumulates a whole sum of products in
+descends one prime q at a time by reading the strands num[t::q] of the
+numerators (:func:`_descend`), through Phi_mq(X) = Phi_m(X^q) when q divides
+m and Q(zeta_mq) = Q(zeta_m) (x) Q(zeta_q) when it does not, so no table is
+kept and no linear system is solved.  The inverse is the product of the
+other Galois conjugates over the norm.  :func:`hermitian_sum`, the kernel of
+the class-function pairing, accumulates a whole sum of products in
 Z[X]/(X^N - 1) and canonicalizes once.
 
 Everything is immutable and pure; the per-conductor caches are filled
@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from ._poly import pexact_div
@@ -199,23 +199,14 @@ def _mod_phi(n: int, v: list[int]) -> list[int]:
     return out
 
 
-def _reduce_raw(n: int, raw: dict[int, int]) -> list[int]:
-    """Power-basis numerators of sum c * X^e over a sparse exponent -> integer
-    map; exponents are taken mod n."""
+def _scatter(n: int, terms: Iterable[tuple[int, int]]) -> list[int]:
+    """Power-basis numerators at conductor n of sum c * X^e over (e, c)
+    pairs; exponents are taken mod n, so the sum is reduced once in
+    Z[X]/(X^n - 1) and then once modulo Phi_n."""
     v = [0] * n
-    for e, c in raw.items():
-        v[e % n] += c
-    return _mod_phi(n, v)
-
-
-def _lift(m: int, n: int, x: Sequence[int]) -> Sequence[int]:
-    """Numerators at conductor n of the value with numerators x at conductor
-    m, where m divides n (x itself when m == n)."""
-    if m == n:
-        return x
-    s = n // m
-    v = [0] * (s * (len(x) - 1) + 1)
-    v[::s] = x
+    for e, c in terms:
+        if c:
+            v[e % n] += c
     return _mod_phi(n, v)
 
 
@@ -231,88 +222,55 @@ def _mul_raw(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _mod_phi(n, conv)
 
 
-def _galois_raw(n: int, num: Sequence[int], k: int) -> list[int]:
-    """Numerators of the image under zeta_n -> zeta_n^k, k a unit mod n."""
-    v = [0] * n
-    for i, c in enumerate(num):
-        if c:
-            v[i * k % n] = c
-    return _mod_phi(n, v)
+def _descend(n: int, q: int, num: Sequence[int]) -> Sequence[int] | None:
+    """The numerators at conductor m = n/q (q a prime dividing n) of the value
+    with numerators num at conductor n, or None when the value does not lie
+    in Q(zeta_m).  Both cases read the strands num[t::q]:
 
+    If q divides m, Phi_n(X) = Phi_m(X^q), so the value is
+    sum_t z_n^t S_t(zeta_m) with S_t strand t, and 1, z_n, ..., z_n^(q-1) are
+    a basis over Q(zeta_m): the value lies there exactly when every strand
+    t != 0 is zero, and then num[::q] are its numerators.
 
-_Rows = tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=None)
-def _projection(n: int, m: int) -> tuple[_Rows, _Rows]:
-    """(P, K) for the subfield Q(zeta_m) of Q(zeta_n), where either m and
-    s = n/m are coprime or every prime of s divides m.  P is an integer left
-    inverse of the subfield's power basis (phi(m) rows of length phi(n)) and
-    K the nonzero rows of I - A P, A the basis: a value with numerators c at
-    conductor n lies in Q(zeta_m) exactly when K c = 0, and then P c are its
-    numerators at conductor m, over the same denominator.
-
-    If every prime of s divides m, Phi_n(X) = Phi_m(X^s) and zeta_m^j is the
-    basis vector z_n^(s j).  If gcd(m, s) = 1, Z[zeta_n] = Z[zeta_m] (x)
-    Z[zeta_s] and zeta_n = zeta_m^u zeta_s^v with u s + v m = 1, so
-    z_n^k = zeta_m^(k u) zeta_s^(k v); P keeps the zeta_s^0 component.  Both
-    are integral, so no denominator arises.
+    If not, Q(zeta_n) = Q(zeta_m) (x) Q(zeta_q) with zeta_m = z_n^q and
+    zeta_q = z_n^m, so z_n^(t + q j) = zeta_m^(t u + j) zeta_q^b with
+    u = q^-1 mod m and b = t m^-1 mod q: the value is sum_b A_b zeta_q^b,
+    A_b strand t shifted by t u.  As 1 + zeta_q + ... + zeta_q^(q-1) = 0 is
+    the only relation, the value lies in Q(zeta_m) exactly when
+    A_1 = ... = A_(q-1) modulo Phi_m, and is then A_0 - A_1 (for q = 2 and m
+    odd this is zeta_2m = -zeta_m^((m+1)/2)).  Everything stays integral.
     """
-    s, dn, dm = n // m, euler_phi(n), euler_phi(m)
-    cols = []  # P as columns: the Q(zeta_m) numerators of z_n^k
-    if gcd(s, m) == 1:
-        u, v = pow(s, -1, m), pow(m, -1, s)
-        one_part = [_mod_phi(s, [0] * b + [1])[0] for b in range(s)]
-        for k in range(dn):
-            w = one_part[k * v % s]
-            cols.append([w * t for t in _mod_phi(m, [0] * (k * u % m) + [1])])
-    else:
-        for k in range(dn):
-            col = [0] * dm
-            if k % s == 0:
-                col[k // s] = 1
-            cols.append(col)
-    p_rows = tuple(zip(*cols))
-    back = [_lift(m, n, col) for col in cols]  # columns of A P
-    k_rows = []
-    for i in range(dn):
-        row = tuple([(i == k) - back[k][i] for k in range(dn)])
-        if any(row):
-            k_rows.append(row)
-    return p_rows, tuple(k_rows)
+    m = n // q
+    if m % q == 0:
+        for t in range(1, q):
+            if any(num[t::q]):
+                return None
+        return num[::q]
+    u = pow(q, -1, m)
 
+    def strand(t: int) -> list[int]:  # A_b in Z[X]/(X^m - 1)
+        w = list(num[t::q])
+        w += [0] * (m - len(w))
+        s = m - t * u % m
+        return w[s:] + w[:s]
 
-def _descend(n: int, m: int, num: list[int]) -> list[int] | None:
-    """The numerators at conductor m of the value with numerators num at
-    conductor n, or None when the value does not lie in Q(zeta_m)."""
-    p_rows, k_rows = _projection(n, m)
-    for row in k_rows:
-        if sum(map(mul, row, num)):
+    one = strand(m % q)  # b = 1
+    for t in range(1, q):
+        if t != m % q and any(_mod_phi(m, list(map(sub, strand(t), one)))):
             return None
-    return [sum(map(mul, row, num)) for row in p_rows]
+    return _mod_phi(m, list(map(sub, strand(0), one)))
 
 
-def _canonical(n: int, num: list[int]) -> tuple[int, list[int]]:
+def _canonical(n: int, num: Sequence[int]) -> tuple[int, Sequence[int]]:
     """The smallest conductor realizing the value with numerators num at
     conductor n, and its numerators there (over the same denominator)."""
-    # strip conductors congruent to 2 mod 4: zeta_2m = -zeta_m^((m+1)/2), m odd
-    if n % 4 == 2:
-        m = n // 2
-        h = (m + 1) // 2
-        v = [0] * m
-        for i, c in enumerate(num):
-            if c:
-                v[i * h % m] += -c if i % 2 else c
-        n, num = m, _mod_phi(m, v)
-    # descend one prime at a time while the value lies in the smaller field
+    # descend one prime at a time while the value lies in the smaller field;
+    # the loop test already decides the descent from a prime n to 1
     while any(num[1:]):
         for q in prime_factors(n):
-            m = n // q
-            if m % 4 == 2:
-                m //= 2
-            x = _descend(n, m, num)
+            x = _descend(n, q, num) if q < n else None
             if x is not None:
-                n, num = m, x
+                n, num = n // q, x
                 break
         else:
             return n, num
@@ -383,7 +341,9 @@ class Cyclotomic:
 
     def _embed(self, n: int) -> Sequence[int]:
         """Numerators of self at conductor n (self.conductor must divide n)."""
-        return _lift(self.conductor, n, self.num)
+        if n == self.conductor:
+            return self.num
+        return _scatter(n, zip(range(0, n, n // self.conductor), self.num))
 
     def _scaled(self, p: int, q: int) -> "Cyclotomic":
         """self * p / q for integers p and q > 0."""
@@ -447,7 +407,8 @@ class Cyclotomic:
         prod = [1] + [0] * (len(self.num) - 1)
         for k in range(2, n):
             if gcd(k, n) == 1:
-                prod = _mul_raw(n, prod, _galois_raw(n, self.num, k))
+                conj = _scatter(n, zip(range(0, k * len(self.num), k), self.num))
+                prod = _mul_raw(n, prod, conj)
         norm = _mul_raw(n, self.num, prod)[0]
         if norm < 0:
             prod, norm = [-c for c in prod], -norm
@@ -484,7 +445,8 @@ class Cyclotomic:
             raise ValueError(f"{k} is not coprime to the conductor {n}")
         # an automorphism keeps the conductor and maps Z[zeta_N] onto itself,
         # so the numerators stay in lowest terms
-        return Cyclotomic(n, tuple(_galois_raw(n, self.num, k % n)), self.den)
+        num = _scatter(n, zip(range(0, k * len(self.num), k), self.num))
+        return Cyclotomic(n, tuple(num), self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """The automorphism zeta -> zeta^(-1); fixes rationals; an involution."""
@@ -521,12 +483,8 @@ def make_root(n: int, k: int) -> Cyclotomic:
     if n < 1:
         raise ValueError("conductor must be positive")
     g = gcd(n, k)
-    n, k, sign = n // g, k // g, 1
-    if n % 4 == 2:  # zeta_2m = -zeta_m^((m+1)/2) for odd m, and k is odd
-        n //= 2
-        k, sign = k * ((n + 1) // 2), -1
-    # a primitive n-th root of unity has conductor n and is a unit of Z[zeta_n]
-    return Cyclotomic(n, tuple(_reduce_raw(n, {k: sign})), 1)
+    n, k = n // g, k // g
+    return Cyclotomic._new(n, _scatter(n, [(k, 1)]), 1)
 
 
 @lru_cache(maxsize=64)
@@ -560,7 +518,8 @@ def frobenius_average(a: Cyclotomic, p: int) -> Cyclotomic:
     total, k = list(a.num), 1
     for _ in range(r - 1):
         k = (k * p) % n
-        total = list(map(add, total, _galois_raw(n, a.num, k)))
+        conj = _scatter(n, zip(range(0, k * len(a.num), k), a.num))
+        total = list(map(add, total, conj))
     return Cyclotomic._new(n, total, a.den * r)
 
 
@@ -616,7 +575,7 @@ def from_terms(n: int, terms: Iterable[tuple[int, int | Fraction]]) -> Cyclotomi
         raw[k % n] = raw.get(k % n, 0) + c
     den = lcm(*[c.denominator for c in raw.values()])
     raw_num = {k: c.numerator * (den // c.denominator) for k, c in raw.items()}
-    return Cyclotomic._new(n, _reduce_raw(n, raw_num), den)
+    return Cyclotomic._new(n, _scatter(n, raw_num.items()), den)
 
 
 def parse_value(obj) -> Cyclotomic:

@@ -339,15 +339,24 @@ def _residue_units(order: MonogenicOrder) -> list[int]:
 
 
 def phi_roots_mod_p(n: int, p: int) -> list[int]:
-    """Roots of Phi_n modulo p in increasing order (the primes above p)."""
-    from .cyclotomic import cyclotomic_polynomial
+    """Roots of Phi_n modulo the prime p in increasing order (the primes above p).
 
-    phi = cyclotomic_polynomial(n)
-    return [
-        r
-        for r in range(p)
-        if sum(c * pow(r, i, p) for i, c in enumerate(phi)) % p == 0
-    ]
+    With n = p^a m and p not dividing m, Phi_n = Phi_m^phi(p^a) mod p, and the
+    roots of Phi_m are the elements of order exactly m in F_p^*: none unless m
+    divides p - 1, and otherwise the powers w^k, gcd(k, m) = 1, of the first
+    w = a^((p-1)/m) of order m.
+    """
+    m = n
+    while m % p == 0:
+        m //= p
+    if (p - 1) % m:
+        return []
+    for a in range(1, p):
+        w = pow(a, (p - 1) // m, p)
+        powers = [pow(w, k, p) for k in range(1, m + 1)]
+        if powers.index(1) == m - 1:  # w has order exactly m
+            return sorted([x for k, x in enumerate(powers, 1) if math.gcd(k, m) == 1])
+    raise AssertionError("F_p^* is cyclic, so some a has order m")
 
 
 def tame_character_from_monogenic(order: MonogenicOrder, prime_choice: int = 0) -> TameCharacterData:

@@ -273,6 +273,16 @@ def test_oracle_derive_fixture_with_tame_part(tmp_path, capsys):
     assert main(["validate", str(dst)]) == 0
 
 
+def test_oracle_derive_fixture_at_a_large_prime(tmp_path, capsys):
+    """The primes above p are found without trying every residue below p."""
+    p = 10**9 + 7
+    src = write(tmp_path, "big_p.json", {"p": p, "f": [-p, 0, 1], "galois": [[0, 1], [0, -1]]})
+    out = tmp_path / "derived.json"
+    assert main(["oracle", "derive-fixture", src, "-o", str(out)]) == 0
+    assert main(["validate", str(out)]) == 0
+    assert json.loads(out.read_text())["ramification"]["p"] == p
+
+
 def test_oracle_errors(tmp_path, capsys):
     assert main(["oracle", "tame", "5"]) == 2
     for args in (["x", "1"], ["3", "x"], ["5", "2.0"]):
@@ -510,6 +520,35 @@ def test_numbers_past_their_limits_are_input_errors(tmp_path, capsys, argv, fiel
     limit = "between 1 and 400, not 401" if field.startswith("reps") else f"below the primality"
     assert err.startswith(f"error: {field} must be {limit}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "order, values, n",
+    [
+        (2, [{"n": 400, "terms": [[1, "1"]]}, {"n": 399, "terms": [[1, "1"]]}], 159600),
+        (199, [{"n": 400, "terms": [[1, "1"]]}] + ["1"] * 198, 79600),
+    ],
+    ids=["values-400-399", "tame-199-value-400"],
+)
+@pytest.mark.parametrize("command", ["conductor", "artin-conductor"])
+def test_rep_pairing_conductor_limit_is_an_input_error(tmp_path, monkeypatch, capsys, order,
+                                                        values, n, command):
+    """Each value conductor is admissible, but the pairing would reduce at their
+    lcm with the tame order; the rep is refused before any pairing runs."""
+    import refartin.grouptheory as gt
+
+    def never(*args):
+        raise AssertionError("a pairing ran past the conductor limit")
+
+    monkeypatch.setattr(gt, "hermitian_sum", never)
+    job = {"version": 1,
+           "ramification": {"group": {"cyclic": order}, "filtration": [list(range(order))],
+                            "p": 3, "tame": {"generator": 1, "exponent": 1}},
+           "reps": {"chi": {"values": values}}}
+    assert main(["compute", write(tmp_path, "job.json", job), command, "chi"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: reps.chi pairs at conductor {n},")
+    assert "past the limit 400" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

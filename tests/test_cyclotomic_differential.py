@@ -4,9 +4,12 @@ sympy.
 
 Operands are drawn at divisors of one conductor n <= 60 (conductors
 congruent to 2 mod 4 included), so every sum and product stays at most at n.
-Each result must be in canonical form and equal the reference's.
+Each result must be in canonical form and equal the reference's.  A
+parametrized case carries the descent past 60, to conductors with
+q^2 | n and with q coprime to n/q for q = 3, 5, 7.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -22,6 +25,7 @@ from refartin.cyclotomic import (
     frobenius_average,
     from_terms,
     make_root,
+    prime_factors,
 )
 
 rationals = st.builds(
@@ -107,6 +111,27 @@ def test_values_from_subfields_descend(ops, extra):
     big = m * extra
     lifted = [(k * extra, c) for k, c in terms]
     assert pair(from_terms(big, lifted)) == ref.from_terms(big, lifted) == pair(build(m, terms))
+
+
+@pytest.mark.parametrize("n", [63, 84, 90, 105, 120, 180, 210])
+def test_values_from_maximal_subfields_descend_past_60(n):
+    """Past the Hypothesis range: for each prime q of n, a value of Q(zeta_n/q)
+    written at conductor n lands where the reference puts it, and the same
+    value plus one term outside Q(zeta_n/q) does not descend there."""
+    rng = random.Random(n)
+    for q in prime_factors(n):
+        m = n // q
+        terms = [(rng.randrange(-m, 2 * m), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                 for _ in range(6)]
+        lifted = [(k * q, c) for k, c in terms]
+        a = from_terms(n, lifted)
+        assert pair(a) == ref.from_terms(n, lifted) == pair(from_terms(m, terms)), (n, q)
+        if q == 2 and m % 2:  # Q(zeta_m) = Q(zeta_n)
+            continue
+        outside = lifted + [(1, Fraction(1, 2))]
+        b = from_terms(n, outside)
+        assert pair(b) == ref.from_terms(n, outside), (n, q)
+        assert m % b.conductor, (n, q)
 
 
 def test_roots_of_unity_match_reference():

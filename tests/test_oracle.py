@@ -178,6 +178,17 @@ def test_tame_character_prime_choice_conjugacy():
         tame_character_from_monogenic(o, 2)
 
 
+def test_phi_roots_mod_p_match_the_scan():
+    """The order-m construction against trying every residue below p."""
+    from refartin.cyclotomic import cyclotomic_polynomial, is_prime
+
+    for p in filter(is_prime, range(300)):
+        for n in range(1, 41):
+            phi = cyclotomic_polynomial(n)
+            scan = [r for r in range(p) if sum(c * pow(r, i, p) for i, c in enumerate(phi)) % p == 0]
+            assert phi_roots_mod_p(n, p) == scan, (n, p)
+
+
 def test_tame_character_errors():
     with pytest.raises(OracleError, match="trivial tame"):
         tame_character_from_monogenic(quad_order())
