@@ -7,7 +7,9 @@ Exit codes: 0 success; 1 a binding verification failure (``validate`` and
 and OracleError, 2 "error:" for InputError, GroupOrderError, ValueError,
 ZeroDivisionError and OSError.  Parsing admits group orders <= 200, value
 conductors n <= 400, a rep whose value conductors and tame order have lcm
-<= 400, p < psi_13 and ``oracle tame`` N <= 200, <= 8 exponents.
+<= 400, p < psi_13 and ``oracle tame`` N <= 200, <= 8 exponents.  ``verify``
+admits tame orders n <= 100, since it reads conductors up to 4n, and groups
+with at most 3000 subgroups (``grouptheory.MAX_SUBGROUPS``).
 
 Job files are JSON:
 
@@ -318,6 +320,11 @@ def cmd_verify(args) -> int:
         )
         report = ConductorReport((record,))
     else:
+        # verify_suite reads bar_n at the tame order n up to 4n
+        if 4 * data.n > MAX_VALUE_CONDUCTOR:
+            raise InputError(f"ramification.filtration gives tame order {data.n}; verify admits "
+                             f"tame orders up to {MAX_VALUE_CONDUCTOR // 4}, a quarter of the "
+                             f"limit {MAX_VALUE_CONDUCTOR}")
         report = verify_suite(data, advisory=args.advisory)
     for rec in report.records:
         print(rec.to_json())

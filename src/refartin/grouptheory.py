@@ -24,6 +24,7 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -46,11 +47,15 @@ class GroupValidationError(ValueError):
 
 
 class GroupOrderError(Exception):
-    """A group spec past MAX_GROUP_ORDER: refused for its size, so not a ValueError."""
+    """A group spec past MAX_GROUP_ORDER, or a lattice past MAX_SUBGROUPS
+    subgroups: refused for its size, so not a ValueError."""
 
 
 # the largest group a spec may name: m x m tables, and lattices enumerated whole
 MAX_GROUP_ORDER = 200
+# the largest lattice enumerated: (Z/2)^6 has 2,825 subgroups, and the count
+# grows like 2^(k^2/4) in (Z/2)^k, so (Z/2)^7 of order 128 would have 29,212
+MAX_SUBGROUPS = 3000
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +338,16 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     The lattice is built by cyclic extension (Neubueser, Numer. Math. 2,
     1960): every subgroup is a join of cyclic subgroups, so joining each
     subgroup found once with each cyclic subgroup not inside it finds them
-    all.  A join is closed from the subgroup's generator tuple.
+    all.  A join is closed from the subgroup's generator tuple.  Raises
+    :class:`GroupOrderError` as soon as more than MAX_SUBGROUPS are found.
     """
     cyclic: dict[frozenset[int], int] = {}  # member set -> a generator
     for h in range(g.order):
         cyclic.setdefault(frozenset(g.powers(h)), h)
     found = {c: (h,) for c, h in cyclic.items()}  # member set -> generators
-    todo = list(found)
+    todo = deque(found)  # breadth first: the small joins find new subgroups fastest
     while todo:
-        a = todo.pop()
+        a = todo.popleft()
         for h in cyclic.values():
             if h not in a:
                 gens = found[a] + (h,)
@@ -349,6 +355,9 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
                 if b not in found:
                     found[b] = gens
                     todo.append(b)
+                    if len(found) > MAX_SUBGROUPS:
+                        raise GroupOrderError(f"the subgroup lattice of a group of order "
+                                              f"{g.order} is past the limit {MAX_SUBGROUPS}")
     return [subgroup(g, mem) for mem in sorted(sorted(map(sorted, found)), key=len)]
 
 

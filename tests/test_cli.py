@@ -570,3 +570,40 @@ def test_group_order_limit_is_an_input_error(tmp_path, monkeypatch, capsys, spec
     assert main([command, write(tmp_path, "big.json", job)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "past the limit 200" in err
+
+
+@pytest.mark.parametrize("order, code", [(101, 2), (100, 0)])
+def test_verify_tame_order_limit(tmp_path, monkeypatch, capsys, order, code):
+    """verify reads bar_n up to 4n, so a tame order past 400 / 4 is refused
+    before the suite runs; 100 itself is admitted."""
+    import refartin.cli as cli
+    from refartin.conductor import ConductorReport
+
+    def suite(data, advisory=False):
+        assert data.n == order <= 100, "verify_suite ran past the tame order limit"
+        return ConductorReport(())
+
+    monkeypatch.setattr(cli, "verify_suite", suite)
+    job = {"version": 1,
+           "ramification": {"group": {"cyclic": order}, "filtration": [list(range(order))],
+                            "p": 3, "tame": {"generator": 1, "exponent": 1}}}
+    assert main(["verify", write(tmp_path, "tame.json", job)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ramification.filtration gives tame order 101;")
+        assert "up to 100" in err and "limit 400" in err and "Traceback" not in err
+
+
+def test_subgroup_lattice_limit_is_an_input_error(tmp_path, monkeypatch, capsys):
+    """(Z/2)^3 has 16 subgroups; with the limit patched to 10, verify stops
+    enumerating once it passes 10 and exits 2."""
+    import refartin.grouptheory as gt
+
+    monkeypatch.setattr(gt, "MAX_SUBGROUPS", 10)
+    job = {"version": 1,
+           "ramification": {"group": {"abelian": [2, 2, 2]}, "filtration": [list(range(8))] * 2,
+                            "p": 2}}
+    assert main(["verify", write(tmp_path, "lattice.json", job)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the subgroup lattice of a group of order 8")
+    assert "past the limit 10" in err and "Traceback" not in err

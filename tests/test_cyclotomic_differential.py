@@ -6,7 +6,8 @@ Operands are drawn at divisors of one conductor n <= 60 (conductors
 congruent to 2 mod 4 included), so every sum and product stays at most at n.
 Each result must be in canonical form and equal the reference's.  A
 parametrized case carries the descent past 60, to conductors with
-q^2 | n and with q coprime to n/q for q = 3, 5, 7.
+q^2 | n and with q coprime to n/q for q = 3, 5, 7.  The reduction modulo
+Phi_n is checked on its own against dense long division up to n = 800.
 """
 
 import random
@@ -18,10 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclotomic_reference as ref
+from refartin._poly import pdivmod
 from refartin.cyclotomic import (
     Cyclotomic,
+    _mod_phi,
     cyclo_sum,
+    cyclotomic_polynomial,
     divisors,
+    euler_phi,
     frobenius_average,
     from_terms,
     make_root,
@@ -132,6 +137,24 @@ def test_values_from_maximal_subfields_descend_past_60(n):
         b = from_terms(n, outside)
         assert pair(b) == ref.from_terms(n, outside), (n, q)
         assert m % b.conductor, (n, q)
+
+
+@pytest.mark.parametrize(
+    "conductors",
+    [range(1, 121), (198, 199, 200, 210), (398, 597, 796, 800)],
+    ids=["up-to-120", "near-200", "up-to-800"],
+)
+def test_mod_phi_matches_long_division(conductors):
+    """The reduction kernel against plain dense division by Phi_n, on seeded
+    random integer polynomials shorter than phi(n), of length n, and longer
+    than 2n, so the fold of X^n = 1 and every term of Phi_n are exercised."""
+    rng = random.Random(2011)
+    for n in conductors:
+        d = euler_phi(n)
+        for length in (n // 2 + 1, n, 2 * n + 3):
+            v = [rng.randint(-99, 99) for _ in range(length)]
+            _, rem = pdivmod(v, cyclotomic_polynomial(n))
+            assert _mod_phi(n, list(v)) == list(rem) + [0] * (d - len(rem)), (n, length)
 
 
 def test_roots_of_unity_match_reference():

@@ -8,6 +8,7 @@ from refartin.grouptheory import (
     ClassFunction,
     GroupOrderError,
     GroupValidationError,
+    MAX_SUBGROUPS,
     abelian_irreducibles,
     all_normal_subgroups,
     all_subgroups,
@@ -288,3 +289,33 @@ def test_all_subgroups():
     assert len(all_subgroups(s3())) == 6
     assert len(all_normal_subgroups(s3())) == 3
     assert len(all_subgroups(cyclic_group(12))) == 6
+
+
+def _subgroups_of_elementary_abelian(k: int) -> int:
+    """The subgroups of (Z/2)^k: the sum over d of the Gaussian binomials [k, d]_2."""
+    total = 0
+    for d in range(k + 1):
+        num = den = 1
+        for i in range(d):
+            num *= 2 ** (k - i) - 1
+            den *= 2 ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+def test_subgroup_lattice_limit_admits_rank_6_and_not_rank_7():
+    for k in range(1, 5):
+        assert len(all_subgroups(build_group({"abelian": [2] * k}))) == \
+            _subgroups_of_elementary_abelian(k)
+    assert _subgroups_of_elementary_abelian(6) == 2825 <= MAX_SUBGROUPS
+    assert _subgroups_of_elementary_abelian(7) == 29212 > MAX_SUBGROUPS
+
+
+def test_all_subgroups_stops_past_the_lattice_limit(monkeypatch):
+    import refartin.grouptheory as gt
+
+    monkeypatch.setattr(gt, "MAX_SUBGROUPS", 15)
+    with pytest.raises(GroupOrderError, match="past the limit 15"):
+        all_subgroups(build_group({"abelian": [2, 2, 2]}))
+    monkeypatch.setattr(gt, "MAX_SUBGROUPS", 16)
+    assert len(all_subgroups(build_group({"abelian": [2, 2, 2]}))) == 16
