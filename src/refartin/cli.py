@@ -7,9 +7,15 @@ Exit codes: 0 success; 1 a binding verification failure (``validate`` and
 and OracleError, 2 "error:" for InputError, GroupOrderError, ValueError,
 ZeroDivisionError and OSError.  Parsing admits group orders <= 200, value
 conductors n <= 400, a rep whose value conductors and tame order have lcm
-<= 400, p < psi_13 and ``oracle tame`` N <= 200, <= 8 exponents.  ``verify``
+<= 400, p < psi_13 and ``oracle tame`` N <= 200, <= 8 exponents.  A rational
+literal (a rep value, a ``terms`` coefficient, the herbrand argument) may have
+at most 4000 digits on each side of its "/", its exponent counted, and one
+rep's literals at most 4000 in all (``MAX_LITERAL_DIGITS``).  ``verify``
 admits tame orders n <= 100, since it reads conductors up to 4n, and groups
 with at most 3000 subgroups (``grouptheory.MAX_SUBGROUPS``).
+
+Only the ``oracle`` subcommand imports :mod:`refartin.oracle` (and
+``_linalg``), so a cold ``validate``, ``compute`` or ``verify`` loads neither.
 
 Job files are JSON:
 
@@ -40,6 +46,7 @@ import json
 import sys
 from fractions import Fraction
 from math import lcm
+from typing import TYPE_CHECKING
 
 from .cyclotomic import PSI_13, NotRationalError, parse_value
 from .grouptheory import (
@@ -50,6 +57,7 @@ from .grouptheory import (
     subgroup,
 )
 from .ramification import (
+    OracleError,
     RamificationData,
     artin_character,
     build_ramification,
@@ -66,15 +74,9 @@ from .conductor import (
     conductor,
     verify_suite,
 )
-from .oracle import (
-    MonogenicOrder,
-    OracleError,
-    build_monogenic_order,
-    filtration_from_monogenic,
-    oracle_monogenic_clin,
-    oracle_tame_clin,
-    regular_action,
-)
+
+if TYPE_CHECKING:
+    from .oracle import MonogenicOrder
 
 EXIT_OK = 0
 EXIT_BINDING_FAILURE = 1
@@ -92,6 +94,12 @@ TAME_MAX_EXPONENTS = 8
 # characters of a group of order m take values in Q(zeta_m) = Q(zeta_2m) (m odd),
 # so 2 * 200 covers them; parse_value allocates a row of n and builds Phi_n
 MAX_VALUE_CONDUCTOR = 2 * MAX_GROUP_ORDER
+
+# rational literals from outside: Fraction("1e20000000") alone takes 39 s of
+# CPU on a 2-vCPU Xeon VM.  300 below Python's int-to-string limit of 4300
+# digits, so that results a few digits longer than their input (psi scales by
+# up to 200) still print
+MAX_LITERAL_DIGITS = 4000
 
 
 class InputError(Exception):
@@ -140,9 +148,27 @@ def _integers(value, depth: int, where: str):
     return value
 
 
-def _rational(value, where: str) -> None:
+def _rational(value, where: str) -> int:
+    """Check that ``value`` is an integer or a string whose digits on each
+    side of a "/", plus the size of its exponent, are at most
+    MAX_LITERAL_DIGITS, and return that count.  ``Fraction`` scales by
+    10**|exponent| before it reduces, so the count bounds its numerator and
+    denominator."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise InputError(f"{where} must be a string or an integer, not {json.dumps(value)}")
+    if isinstance(value, int):  # json refuses integers past the limit
+        return len(str(value))
+    mantissa, _, exponent = value.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "")
+    digits = max(sum(c.isdigit() for c in side) for side in mantissa.split("/"))
+    # Fraction refuses an exponent that is not decimal digits, and one longer
+    # than the limit is past it whatever it reads
+    if exponent.isdecimal():
+        digits += int(exponent) if len(exponent) <= MAX_LITERAL_DIGITS else MAX_LITERAL_DIGITS + 1
+    if digits > MAX_LITERAL_DIGITS:
+        raise InputError(f"{where} has more than {MAX_LITERAL_DIGITS} digits "
+                         "in its numerator or denominator")
+    return digits
 
 
 def _checked_p(value, where: str) -> int:
@@ -152,8 +178,9 @@ def _checked_p(value, where: str) -> int:
     return value
 
 
-def _value(value, where: str) -> None:
-    """``value`` checked to be a rational or {"n": N, "terms": [[k, c], ...]}."""
+def _value(value, where: str) -> int:
+    """Check that ``value`` is a rational or {"n": N, "terms": [[k, c], ...]};
+    return the digits of its rational literals, as :func:`_rational` counts."""
     if not isinstance(value, dict):
         return _rational(value, where)
     n = _integers(value.get("n"), 0, f"{where}.n")
@@ -162,9 +189,11 @@ def _value(value, where: str) -> None:
     terms = value.get("terms", [])
     if not isinstance(terms, list) or any(not isinstance(t, list) or len(t) != 2 for t in terms):
         raise InputError(f"{where}.terms must be an array of [k, c] pairs, not {json.dumps(terms)}")
+    digits = 0
     for i, (k, c) in enumerate(terms):
         _integers(k, 0, f"{where}.terms[{i}][0]")
-        _rational(c, f"{where}.terms[{i}][1]")
+        digits += _rational(c, f"{where}.terms[{i}][1]")
+    return digits
 
 
 def ramification_from_job(job: dict) -> RamificationData:
@@ -200,8 +229,12 @@ def rep_from_job(job: dict, name: str, data: RamificationData) -> ClassFunction:
     values = rep.get("values") if isinstance(rep, dict) else None
     if not isinstance(values, list):
         raise InputError(f"representation {name!r} has no 'values' array")
-    for i, v in enumerate(values):
-        _value(v, f"reps.{name}.values[{i}]")
+    # a pairing multiplies the denominators: 200 values of 4300 digits each
+    # ran past 100 s on a 2-vCPU Xeon VM, so one rep's literals share the limit
+    digits = sum([_value(v, f"reps.{name}.values[{i}]") for i, v in enumerate(values)])
+    if digits > MAX_LITERAL_DIGITS:
+        raise InputError(f"reps.{name} has {digits} digits in its rational literals, "
+                         f"past the limit {MAX_LITERAL_DIGITS}")
     vals = tuple(parse_value(v) for v in values)
     if len(vals) != len(data.gamma.classes):
         raise InputError(
@@ -217,6 +250,8 @@ def rep_from_job(job: dict, name: str, data: RamificationData) -> ClassFunction:
 
 
 def oracle_from_job(obj) -> tuple[MonogenicOrder, list | None]:
+    from .oracle import build_monogenic_order
+
     if not isinstance(obj, dict):
         raise InputError("order file must be a JSON object")
     sec = obj.get("oracle", obj)
@@ -296,6 +331,7 @@ def cmd_compute(args) -> int:
         if len(rest) != 2 or rest[0] not in ("phi", "psi"):
             raise InputError("usage: compute PATH herbrand {phi|psi} RATIONAL")
         fn = herbrand_phi if rest[0] == "phi" else herbrand_psi
+        _rational(rest[1], "herbrand argument")
         print(fn(data, Fraction(rest[1])))
     else:  # disc
         members = [int(x) for x in _one_arg(rest, "disc MEMBERS").split(",")]
@@ -333,6 +369,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import (
+        filtration_from_monogenic,
+        oracle_monogenic_clin,
+        oracle_tame_clin,
+        regular_action,
+    )
+
     sub = args.oracle_what
     if sub == "tame":
         if len(args.args) < 2:

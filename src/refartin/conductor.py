@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, NotRationalError, closure, from_terms
 from .grouptheory import (
@@ -241,8 +241,7 @@ def _weil_restriction(
 # identity replay
 
 
-@dataclass(frozen=True)
-class ReportRecord:
+class ReportRecord(NamedTuple):
     """One identity instance: exact expected/computed values, never floats."""
 
     name: str
@@ -266,8 +265,7 @@ class ReportRecord:
         )
 
 
-@dataclass(frozen=True)
-class ConductorReport:
+class ConductorReport(NamedTuple):
     records: tuple[ReportRecord, ...]
 
     @property

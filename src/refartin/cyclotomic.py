@@ -37,13 +37,12 @@ The module is also the package's one home for elementary number theory:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._poly import pexact_div
 
@@ -281,22 +280,27 @@ def _lowest(n: int, num: Sequence[int], den: int) -> "Cyclotomic":
     return Cyclotomic(n, tuple(num), den)
 
 
-@dataclass(frozen=True, slots=True)
-class Cyclotomic:
-    """An element sum(num[i] * z^i) / den of Q(zeta_N), N = ``conductor``, in
-    canonical form: minimal conductor, den > 0, and lowest terms.
-
-    Do not call the constructor with non-canonical data; use :func:`make_root`,
-    :func:`from_rational` or :func:`from_terms`.
-    """
-
+class _CyclotomicFields(NamedTuple):
     conductor: int
     num: tuple[int, ...]
     den: int = 1
 
-    def __post_init__(self):
-        if self.conductor < 1 or len(self.num) != euler_phi(self.conductor) or self.den < 1:
+
+class Cyclotomic(_CyclotomicFields):
+    """An element sum(num[i] * z^i) / den of Q(zeta_N), N = ``conductor``, in
+    canonical form: minimal conductor, den > 0, and lowest terms.
+
+    Do not call the constructor with non-canonical data; use :func:`make_root`,
+    :func:`from_rational` or :func:`from_terms`.  Equality and hashing are
+    those of the tuple (conductor, num, den).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, conductor: int, num: tuple[int, ...], den: int = 1):
+        if conductor < 1 or len(num) != euler_phi(conductor) or den < 1:
             raise ValueError("coefficient vector does not match the conductor")
+        return tuple.__new__(cls, (conductor, num, den))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

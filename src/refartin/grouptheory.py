@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .cyclotomic import (
     Cyclotomic,
@@ -62,14 +61,37 @@ MAX_SUBGROUPS = 3000
 # groups
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    """A finite group: m x m multiplication table with identity at index 0."""
+def compared_fields(k: int):
+    """``__eq__``, ``__ne__`` and ``__hash__`` for a NamedTuple whose first
+    ``k`` fields are its value, the rest derived from them: equal only to
+    the same class, and hashed as the tuple of those fields."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:k] == other[:k]
+
+    def __ne__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:k] != other[:k]
+
+    def __hash__(self) -> int:
+        return hash(self[:k])
+
+    return __eq__, __ne__, __hash__
+
+
+class FiniteGroup(NamedTuple):
+    """A finite group: m x m multiplication table with identity at index 0.
+    Equal and hashed by ``table`` alone; the other fields derive from it."""
 
     table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...] = field(compare=False)
-    classes: tuple[tuple[int, ...], ...] = field(compare=False)
-    class_of: tuple[int, ...] = field(compare=False)
+    inverse: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...]
+    class_of: tuple[int, ...]
+
+    __eq__, __ne__, __hash__ = compared_fields(1)
 
     @property
     def order(self) -> int:
@@ -223,8 +245,7 @@ def build_group(spec: dict) -> FiniteGroup:
 # subgroups, quotients, homomorphisms
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(NamedTuple):
     """A homomorphism as an element-index map.  A plain record: maps given
     from outside are checked by :func:`hom`."""
 
@@ -256,24 +277,28 @@ def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
     return GroupHom(inner.source, outer.target, tuple(outer.mapping[x] for x in inner.mapping))
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class _SubgroupFields(NamedTuple):
+    parent: FiniteGroup
+    members: tuple[int, ...]
+    group: FiniteGroup
+    inclusion: GroupHom
+
+
+class Subgroup(_SubgroupFields):
     """A subgroup of a parent group, with its own group structure attached.
 
     ``group`` is the subgroup as a standalone FiniteGroup (members re-indexed
-    in ascending order) and ``inclusion`` the corresponding injection.  The
-    members are checked to lie in the parent and to be closed; a closed
+    in ascending order) and ``inclusion`` the corresponding injection; both
+    are built here, and equality and hashing read (parent, members) only.
+    The members are checked to lie in the parent and to be closed; a closed
     subset of a group is a group, so its table is not checked again.
     """
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
-    group: FiniteGroup = field(init=False, compare=False)
-    inclusion: GroupHom = field(init=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        g = self.parent
-        mem = tuple(sorted(set(self.members)))
+    def __new__(cls, parent: FiniteGroup, members: Iterable[int]):
+        g = parent
+        mem = tuple(sorted(set(members)))
         for x in mem[:1] + mem[-1:]:
             if not 0 <= x < g.order:
                 raise GroupValidationError(
@@ -289,9 +314,12 @@ class Subgroup:
         except KeyError:
             raise GroupValidationError("subgroup not closed under product") from None
         grp = _group(table)
-        object.__setattr__(self, "members", mem)
-        object.__setattr__(self, "group", grp)
-        object.__setattr__(self, "inclusion", GroupHom(grp, g, mem))
+        return tuple.__new__(cls, (g, mem, grp, GroupHom(grp, g, mem)))
+
+    def __getnewargs__(self):
+        return self.parent, self.members
+
+    __eq__, __ne__, __hash__ = compared_fields(2)
 
     @property
     def order(self) -> int:
@@ -369,16 +397,20 @@ def all_normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
 # class functions
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    """A central function: one cyclotomic value per conjugacy class."""
-
+class _ClassFunctionFields(NamedTuple):
     group: FiniteGroup
     values: tuple[Cyclotomic, ...]
 
-    def __post_init__(self):
-        if len(self.values) != len(self.group.classes):
+
+class ClassFunction(_ClassFunctionFields):
+    """A central function: one cyclotomic value per conjugacy class."""
+
+    __slots__ = ()
+
+    def __new__(cls, group: FiniteGroup, values: tuple[Cyclotomic, ...]):
+        if len(values) != len(group.classes):
             raise GroupValidationError("one value per conjugacy class required")
+        return tuple.__new__(cls, (group, values))
 
     def value(self, g: int) -> Cyclotomic:
         return self.values[self.group.class_of[g]]

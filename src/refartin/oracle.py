@@ -28,38 +28,37 @@ different choices yield Galois-conjugate tame characters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from ._linalg import bareiss_poly_det, field_kernel, integer_kernel
 from ._poly import pcompose_mod, pinvmod, plow_order, pmod, pmul, presultant, psub, ptrim
 from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, multiplicative_order, roots_of_unity
-from .grouptheory import FiniteGroup, group_from_table
-from .ramification import RamificationData, build_ramification
-
-
-class OracleError(ValueError):
-    """Raised when oracle input violates a structural invariant."""
+from .grouptheory import FiniteGroup, compared_fields, group_from_table
+from .ramification import OracleError, RamificationData, build_ramification
 
 
 # ---------------------------------------------------------------------------
 # equal-characteristic tame model
 
 
-@dataclass(frozen=True)
-class TameModel:
+class _TameModelFields(NamedTuple):
+    n: int
+
+
+class TameModel(_TameModelFields):
     """O_L = Q(zeta_n)[pi] with pi^n = t and sigma(pi) = zeta_n pi.
 
     sigma has order n and fixes the base ring Q(zeta_n)[t]; nu_L(pi) = 1 and
     nu_L(t) = n.
     """
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int):
+        if n < 1:
             raise OracleError("tame degree must be positive")
+        return tuple.__new__(cls, (n,))
 
     def invariant_basis(self, exponents: Sequence[int]) -> list[list[Cyclotomic]]:
         """Basis of (M (x) O_L)^sigma for the diagonal action
@@ -107,38 +106,40 @@ def oracle_tame_clin(n: int, exponents: Sequence[int]) -> Fraction:
 # mixed-characteristic monogenic model
 
 
-@dataclass(frozen=True)
-class MonogenicOrder:
+class _MonogenicOrderFields(NamedTuple):
+    p: int
+    f: tuple[int, ...]
+    galois: tuple[tuple[int, ...], ...]
+    group: FiniteGroup
+
+
+class MonogenicOrder(_MonogenicOrderFields):
     """The order Z[x]/(f) of a totally ramified Galois extension of Q_p.
 
     ``f`` is monic and Eisenstein at p, ascending coefficients; ``galois``
     lists one integer polynomial per group element (reduced mod f, identity
     first) with g(x) again a root of f; composition must close into a group
     of order deg f.  ``group`` is that abstract group, with element i the
-    automorphism x -> galois[i](x).
+    automorphism x -> galois[i](x); it is built here, and equality and
+    hashing read (p, f, galois) only.
     """
 
-    p: int
-    f: tuple[int, ...]
-    galois: tuple[tuple[int, ...], ...]
-    group: FiniteGroup = field(init=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, f = self.p, self.f
+    def __new__(cls, p: int, f: tuple[int, ...], galois: tuple[tuple[int, ...], ...]):
         if not is_prime(p):
             raise OracleError(f"{p} is not prime")
         if len(f) < 2 or f[-1] != 1:
             raise OracleError("f must be monic of positive degree")
         if any(c % p for c in f[:-1]) or f[0] % (p * p) == 0:
             raise OracleError(f"f is not Eisenstein at {p}")
-        e = self.degree
-        maps = [self._reduce_int(g) for g in self.galois]
-        object.__setattr__(self, "galois", tuple(maps))
+        e = len(f) - 1
+        maps = [_reduce_int(g, f) for g in galois]
         if len(maps) != e:
             raise OracleError(
                 f"a Galois order needs {e} automorphisms, got {len(maps)}"
             )
-        if maps[0] != self._reduce_int((0, 1)):
+        if maps[0] != _reduce_int((0, 1), f):
             raise OracleError("the first Galois map must be the identity x -> x")
         if len(set(maps)) != e:
             raise OracleError("Galois maps are not distinct")
@@ -151,20 +152,21 @@ class MonogenicOrder:
             row = []
             for b in maps:
                 # (sigma_a o sigma_b)(x) = g_b(g_a(x)) mod f
-                comp = self._reduce_int(pcompose_mod(b, a, f))
+                comp = _reduce_int(pcompose_mod(b, a, f), f)
                 if comp not in index:
                     raise OracleError("Galois maps do not close under composition")
                 row.append(index[comp])
             table.append(row)
-        object.__setattr__(self, "group", group_from_table(table))
+        return tuple.__new__(cls, (p, f, tuple(maps), group_from_table(table)))
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    __eq__, __ne__, __hash__ = compared_fields(3)
 
     @property
     def degree(self) -> int:
         return len(self.f) - 1
-
-    def _reduce_int(self, g: Sequence[int]) -> tuple[int, ...]:
-        out = pmod(tuple(int(c) for c in g), self.f)
-        return out + (0,) * (self.degree - len(out))
 
     def sigma_matrix(self, i: int) -> list[list[int]]:
         """Matrix of the i-th automorphism on the Z-basis 1, x, .., x^(e-1)."""
@@ -174,8 +176,14 @@ class MonogenicOrder:
         cur = (1,) + (0,) * (e - 1)  # g^0
         for _ in range(e):
             cols.append(cur)
-            cur = self._reduce_int(pmul(cur, g))
+            cur = _reduce_int(pmul(cur, g), self.f)
         return [[cols[a][b] for a in range(e)] for b in range(e)]
+
+
+def _reduce_int(g: Sequence[int], f: tuple[int, ...]) -> tuple[int, ...]:
+    """g mod f as a coefficient tuple of length deg f."""
+    out = pmod(tuple(int(c) for c in g), f)
+    return out + (0,) * (len(f) - 1 - len(out))
 
 
 def build_monogenic_order(p: int, f: Sequence[int], galois: Sequence[Sequence[int]]) -> MonogenicOrder:

@@ -22,7 +22,6 @@ interpolate those vertices, forwards and with the axes swapped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd
@@ -33,6 +32,7 @@ from .grouptheory import (
     ClassFunction,
     FiniteGroup,
     Subgroup,
+    compared_fields,
     cyclic_group,
     pushforward,
     quotient,
@@ -45,6 +45,12 @@ class RamificationError(ValueError):
     """Raised when ramification data violates a structural invariant."""
 
 
+class OracleError(ValueError):
+    """Raised when oracle input violates a structural invariant.  Defined
+    here, not in :mod:`refartin.oracle`, so the CLI's error table needs no
+    oracle import."""
+
+
 def _is_prime_power(m: int, p: int) -> bool:
     if m == 1:
         return True
@@ -53,9 +59,10 @@ def _is_prime_power(m: int, p: int) -> bool:
     return m == 1
 
 
-@dataclass(frozen=True)
-class RamificationData:
-    """Validated ramification data; build through :func:`build_ramification`."""
+class RamificationData(NamedTuple):
+    """Validated ramification data; build through :func:`build_ramification`.
+    Equality, hashing and repr read the first five fields; the last two are
+    derived from them."""
 
     gamma: FiniteGroup
     filtration: tuple[frozenset[int], ...]  # Gamma_0, Gamma_1, ...; trailing 1's trimmed
@@ -63,9 +70,15 @@ class RamificationData:
     tame_generator: int  # element of Gamma_0 generating Gamma_0/Gamma_1
     tame_exponent: int  # Psi(generator) = zeta_n^tame_exponent
     # Gamma_0, ..., Gamma_L with Gamma_L = 1, L = len(filtration)
-    subgroups: tuple[Subgroup, ...] = field(compare=False, repr=False)
+    subgroups: tuple[Subgroup, ...]
     # (u, phi(u)) for u = -1, 0, 1, ..., L + 1
-    phi_vertices: tuple[tuple[Fraction, Fraction], ...] = field(compare=False, repr=False)
+    phi_vertices: tuple[tuple[Fraction, Fraction], ...]
+
+    __eq__, __ne__, __hash__ = compared_fields(5)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:5], self))
+        return f"RamificationData({fields})"
 
     @property
     def e(self) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from refartin.cli import main
 from refartin.cyclotomic import parse_value, from_rational
+from refartin.ramification import herbrand_psi
 
 
 QUAD_JOB = {
@@ -304,22 +305,22 @@ def test_oracle_errors(tmp_path, capsys):
     ],
 )
 def test_oracle_tame_admission_limits(monkeypatch, capsys, args, limit):
-    import refartin.cli as cli
+    import refartin.oracle as oracle
 
     def never(n, exponents):
         raise AssertionError("the oracle ran on an inadmissible input")
 
-    monkeypatch.setattr(cli, "oracle_tame_clin", never)
+    monkeypatch.setattr(oracle, "oracle_tame_clin", never)
     assert main(["oracle", "tame", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: oracle tame") and limit in err
 
 
 def test_oracle_tame_admits_the_limits(monkeypatch, capsys):
-    import refartin.cli as cli
+    import refartin.oracle as oracle
 
     calls = []
-    monkeypatch.setattr(cli, "oracle_tame_clin", lambda n, exps: calls.append((n, exps)) or 0)
+    monkeypatch.setattr(oracle, "oracle_tame_clin", lambda n, exps: calls.append((n, exps)) or 0)
     assert main(["oracle", "tame", "200", "1"]) == 0
     assert main(["oracle", "tame", "1", *["0"] * 8]) == 0
     assert calls == [(200, [1]), (1, [0] * 8)]
@@ -607,3 +608,68 @@ def test_subgroup_lattice_limit_is_an_input_error(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: the subgroup lattice of a group of order 8")
     assert "past the limit 10" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "value, rest, field",
+    [
+        (None, ["herbrand", "psi", "1e20000000"], "herbrand argument"),
+        ("1e20000000", ["conductor", "chi"], "reps.chi.values[1]"),
+        ({"n": 4, "terms": [[1, "1e20000000"]]}, ["conductor", "chi"],
+         "reps.chi.values[1].terms[0][1]"),
+        (None, ["herbrand", "phi", "1/1e5"], "herbrand argument"),  # not a literal at all
+        (None, ["herbrand", "psi", "1" * 4001], "herbrand argument"),
+        (None, ["herbrand", "psi", "1/" + "7" * 4001], "herbrand argument"),
+        (None, ["herbrand", "psi", "1.5E-3999"], "herbrand argument"),
+        (None, ["herbrand", "psi", "1e" + "9" * 5000], "herbrand argument"),
+    ],
+    ids=["herbrand", "value", "term", "invalid", "numerator", "denominator", "decimal",
+         "long-exponent"],
+)
+def test_rational_literal_digit_limit(tmp_path, capsys, value, rest, field):
+    """Fraction("1e20000000") alone takes 39 s on a 2-vCPU Xeon VM; every
+    rational literal from outside is bounded before it is parsed, and refused
+    in well under a second with its field named."""
+    import time
+
+    job = json.loads(json.dumps(QUAD_JOB))
+    if value is not None:
+        job["reps"]["chi"]["values"][1] = value
+    start = time.process_time()
+    code = main(["compute", write(tmp_path, "job.json", job), *rest])
+    assert time.process_time() - start < 1
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    if rest[2:] != ["1/1e5"]:
+        assert err == f"error: {field} has more than 4000 digits in its numerator or denominator\n"
+
+
+def test_rational_literals_at_the_digit_limit_print(tmp_path, capsys):
+    """Literals at the limit are admitted, and a herbrand result a few digits
+    longer than its argument still prints."""
+    from refartin.cli import ramification_from_job
+
+    path = write(tmp_path, "job.json", QUAD_JOB)
+    data = ramification_from_job(QUAD_JOB)
+    for arg in ["9999e3996", "2/" + "3" * 4000, "1.5e-3998"]:
+        assert main(["compute", path, "herbrand", "psi", arg]) == 0
+        assert Fraction(capsys.readouterr().out) == herbrand_psi(data, Fraction(arg))
+    # psi(v) = 2v - 2 past v = 2 here: 4,001 digits
+    assert len(str(herbrand_psi(data, Fraction("9999e3996")))) == 4001
+
+
+def test_rep_literals_share_the_digit_limit(tmp_path, capsys):
+    """200 values of 4,300 digits each ran past 100 s on a 2-vCPU Xeon VM,
+    since the pairing multiplies their denominators; one rep's literals may
+    have 4000 digits in all."""
+    import time
+
+    job = json.loads(json.dumps(QUAD_JOB))
+    job["reps"]["chi"]["values"] = ["1/" + "3" * 2000, "1/" + "7" * 2001]
+    start = time.process_time()
+    assert main(["compute", write(tmp_path, "job.json", job), "conductor", "chi"]) == 2
+    assert time.process_time() - start < 1
+    err = capsys.readouterr().err
+    assert err == "error: reps.chi has 4001 digits in its rational literals, past the limit 4000\n"
+    job["reps"]["chi"]["values"][1] = "1/" + "7" * 2000
+    assert main(["compute", write(tmp_path, "job.json", job), "conductor", "chi"]) in (0, 3)
