@@ -1,15 +1,16 @@
-"""Exact linear algebra kernels: integer lattice kernels and field elimination.
+"""Exact linear algebra kernels: integer lattice kernels, field elimination
+and one fraction-free determinant.
 
 Integer routines use plain Python ints (arbitrary precision); field routines
 work generically over any exact field type with arithmetic dunders and
-truthiness (Fraction, Cyclotomic).
+truthiness (Fraction, Cyclotomic).  ``bareiss_det`` works over any integral
+domain whose caller supplies the exact cross-multiply-and-divide step: Z for
+the monogenic oracle, Q(zeta_n)[pi] for the tame one.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-from ._poly import pexact_div, pmul, psub, pscale, ptrim
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
@@ -85,28 +86,29 @@ def field_kernel(rows: list[list], one) -> list[list]:
     return basis
 
 
-def bareiss_poly_det(mat: list[list[tuple]]) -> tuple:
-    """Determinant of a matrix over F[x] (entries as _poly tuples), fraction-free.
+def bareiss_det(mat: Sequence[Sequence], step, one):
+    """Determinant of a square matrix over an integral domain, up to sign.
 
-    Uses the Bareiss scheme; all divisions are exact in the polynomial ring.
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): each pass sets
+    a_ij = step(a_kk, a_kj, a_ik, a_ij, prev) = (a_kk a_ij - a_kj a_ik) / prev,
+    the division exact in the ring, where prev is the previous pivot and
+    ``one`` the ring's one; an entry must be falsy exactly when it is zero.
+    Rows are swapped to find a nonzero pivot and the swaps are not counted,
+    so the sign is lost: callers read only a valuation.  A 0x0 matrix gives
+    ``one``; a singular one gives the zero entry that left its pivot column
+    empty.
     """
-    n = len(mat)
-    if n == 0:
-        raise ValueError("empty matrix")
-    a = [[ptrim(e) for e in row] for row in mat]
-    sign = 1
-    prev: tuple = None  # type: ignore[assignment]
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot is None:
-                return ()
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = psub(pmul(a[i][j], a[k][k]), pmul(a[i][k], a[k][j]))
-                a[i][j] = pexact_div(num, prev) if prev is not None and prev != () else num
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else pscale(det, -1)
+    a = [list(row) for row in mat]
+    n = len(a)
+    prev = one
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return a[k][k]
+        a[k], a[pivot] = a[pivot], a[k]
+        pk, rest = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            c = row[k]
+            row[k + 1:] = [step(pk, t, c, x, prev) for t, x in zip(rest, row[k + 1:])]
+        prev = pk
+    return prev

@@ -9,7 +9,10 @@ Integer coefficients are allowed wherever no division is needed: division
 divides only by a leading coefficient other than 1, so dividing by a monic
 polynomial keeps integer input integer (``pdivmod``, ``pmod``,
 ``pexact_div``, ``pcompose_mod``).  An integer divisor that is not monic
-raises ArithmeticError; a float never appears.
+raises ArithmeticError; a float never appears.  Nothing here inverts modulo
+a polynomial: the oracles' determinants are fraction-free
+(``_linalg.bareiss_det``) and their valuations are read through
+``presultant`` or ``plow_order``.
 """
 
 from __future__ import annotations
@@ -47,12 +50,6 @@ def psub(a: Sequence, b: Sequence) -> tuple:
     return padd(a, pneg(b))
 
 
-def pscale(a: Sequence, s) -> tuple:
-    if not s:
-        return ()
-    return ptrim([c * s for c in a])
-
-
 def pmul(a: Sequence, b: Sequence) -> tuple:
     if not a or not b:
         return ()
@@ -76,6 +73,8 @@ def pdivmod(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
         raise ArithmeticError("integer polynomial division needs a monic divisor")
     if not a:
         return (), ()
+    if not db and monic:  # by 1, as in each first Bareiss step
+        return ptrim(a), ()
     a = list(a)
     q = [a[0] * 0] * max(0, len(a) - db)
     while len(a) - 1 >= db and a:
@@ -99,34 +98,6 @@ def pexact_div(a: Sequence, b: Sequence) -> tuple:
     if r:
         raise ArithmeticError("polynomial division was not exact")
     return q
-
-
-def pxgcd(a: Sequence, b: Sequence) -> tuple[tuple, tuple, tuple]:
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g (g not normalized)."""
-    r0, r1 = ptrim(a), ptrim(b)
-    s0, s1 = (_one_like(a, b),), ()
-    t0, t1 = (), (_one_like(a, b),)
-    while r1:
-        q, r = pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1))
-        t0, t1 = t1, psub(t0, pmul(q, t1))
-    return r0, s0, t0
-
-
-def pinvmod(a: Sequence, f: Sequence) -> tuple:
-    """The inverse of a modulo f; raises ZeroDivisionError if they share a factor."""
-    g, s, _ = pxgcd(a, f)
-    if pdeg(g) != 0:
-        raise ZeroDivisionError("element is not invertible modulo f")
-    return pscale(s, 1 / g[0])
-
-
-def _one_like(a: Sequence, b: Sequence):
-    for c in list(a) + list(b):
-        if c:
-            return c / c
-    return Fraction(1)
 
 
 def pcompose(a: Sequence, b: Sequence) -> tuple:

@@ -7,10 +7,11 @@ Exit codes: 0 success; 1 a binding verification failure (``validate`` and
 and OracleError, 2 "error:" for InputError, GroupOrderError, ValueError,
 ZeroDivisionError and OSError.  Parsing admits group orders <= 200, value
 conductors n <= 400, a rep whose value conductors and tame order have lcm
-<= 400, p < psi_13 and ``oracle tame`` N <= 200, <= 8 exponents.  A rational
-literal (a rep value, a ``terms`` coefficient, the herbrand argument) may have
-at most 4000 digits on each side of its "/", its exponent counted, and one
-rep's literals at most 4000 in all (``MAX_LITERAL_DIGITS``).  ``verify``
+<= 400, p < psi_13, ``oracle tame`` N <= 200, <= 8 exponents, and order files
+with deg f <= 12 and a module of rank <= 12.  A rational literal (a rep
+value, a ``terms`` coefficient, the herbrand argument) may have at most 4000
+digits on each side of its "/", its exponent counted, and one rep's literals
+at most 4000 in all (``MAX_LITERAL_DIGITS``).  ``verify``
 admits tame orders n <= 100, since it reads conductors up to 4n, and groups
 with at most 3000 subgroups (``grouptheory.MAX_SUBGROUPS``).
 
@@ -91,6 +92,11 @@ FORMAT_VERSION = 1
 TAME_MAX_DEGREE = 200
 TAME_MAX_EXPONENTS = 8
 
+# order file admission limit on deg f and on the module rank: the monogenic
+# oracle takes a determinant of side rank * deg f, and 12 (Phi_13(x+1)) is the
+# largest degree any fixture uses
+ORDER_MAX_DEGREE = 12
+
 # characters of a group of order m take values in Q(zeta_m) = Q(zeta_2m) (m odd),
 # so 2 * 200 covers them; parse_value allocates a row of n and builds Phi_n
 MAX_VALUE_CONDUCTOR = 2 * MAX_GROUP_ORDER
@@ -119,6 +125,11 @@ def _read_json(path: str):
         raise InputError(f"{path}: not UTF-8 text: {ex.reason} at byte {ex.start}") from ex
     except json.JSONDecodeError as ex:
         raise InputError(f"{path}:{ex.lineno}:{ex.colno}: invalid JSON: {ex.msg}") from ex
+    except ValueError as ex:  # the only other one json raises: int()'s digit limit
+        raise InputError(f"{path}: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from ex
+    except RecursionError as ex:
+        raise InputError(f"{path}: arrays or objects nested too deeply") from ex
 
 
 def load_job(path: str) -> dict:
@@ -262,9 +273,15 @@ def oracle_from_job(obj) -> tuple[MonogenicOrder, list | None]:
     except KeyError as ex:
         raise InputError(f"oracle section is missing {ex}") from ex
     _checked_p(fields[0], "oracle.p")
+    if len(fields[1]) - 1 > ORDER_MAX_DEGREE:
+        raise InputError(f"oracle.f has degree {len(fields[1]) - 1}, "
+                         f"past the limit {ORDER_MAX_DEGREE}")
     module = sec.get("module")
     if module is not None:
         _integers(module, 3, "oracle.module")
+        if any(len(x) > ORDER_MAX_DEGREE for m in module for x in (m, *m)):
+            raise InputError(f"oracle.module has a matrix of more than "
+                             f"{ORDER_MAX_DEGREE} rows or columns")
     return build_monogenic_order(*fields), module
 
 

@@ -117,10 +117,11 @@ def qp_irreducibles_cyclic(n: int, p: int) -> list[ClassFunction]:
     """Characters of the simple Q_p[C_n]-modules on the standard cyclic group.
 
     They are the orbit sums of the linear characters chi_r under the
-    subgroup H of (Z/n)* generated by p on the prime-to-p part and by all of
-    (Z/p^k)* on the p-part; equivalently, one character per irreducible
-    factor of X^n - 1 over Q_p.  For p = 0 the orbits are under all of
-    (Z/n)*, giving the Q-rational irreducibles.
+    subgroup H = {u in (Z/n)* : u = p^j mod m for some j} of (Z/n)*, m the
+    prime-to-p part of n (p generates the Frobenius on the prime-to-p part,
+    and the p-part is all inertia); equivalently, one character per
+    irreducible factor of X^n - 1 over Q_p.  For p = 0 the orbits are under
+    all of (Z/n)*, giving the Q-rational irreducibles.
 
     The values are Gauss periods P(O) = sum_{r in O} zeta_n^r, one per orbit
     O = aH, each built once.  For the character of O and g in C_n, r -> r g
@@ -133,22 +134,13 @@ def qp_irreducibles_cyclic(n: int, p: int) -> list[ClassFunction]:
     if p < 0:
         raise ValueError("p must be 0 or a prime")
     group = cyclic_group(n)
-    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
-    if p == 0:
-        gens = units
-    else:
-        pk = 1
+    orbit_group = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+    if p:
         m = n
         while m % p == 0:
             m //= p
-            pk *= p
-        gens = []
-        if m > 1:
-            gens.append(_crt(p % m, m, 1, pk))
-        for w in range(1, pk + 1):
-            if gcd(w, pk) == 1:
-                gens.append(_crt(1, m, w, pk))
-    orbit_group = closure(gens, lambda x, g: x * g % n, 1 % n)
+        frobenius = closure([p % m], lambda x, g: x * g % m, 1 % m)
+        orbit_group = [u for u in orbit_group if u % m in frobenius]
     orbits: list[list[int]] = []
     orbit_of = [-1] * n
     for a in range(n):
@@ -169,16 +161,6 @@ def qp_irreducibles_cyclic(n: int, p: int) -> list[ClassFunction]:
             values.append(periods[j] if m == 1 else periods[j] * m)
         out.append(ClassFunction(group, tuple(values)))
     return out
-
-
-def _crt(a: int, m: int, b: int, k: int) -> int:
-    """The element of Z/(m k) congruent to a mod m and b mod k (gcd(m,k)=1)."""
-    if m == 1:
-        return b % k if k > 1 else 0
-    if k == 1:
-        return a % m
-    x = a % m + m * (((b - a) * pow(m, -1, k)) % k)
-    return x % (m * k)
 
 
 def transport_to_cyclic(group_chi: ClassFunction, target: FiniteGroup) -> ClassFunction:
@@ -271,10 +253,6 @@ class ConductorReport(NamedTuple):
     @property
     def binding_ok(self) -> bool:
         return all(rec.passed for rec in self.records if rec.binding)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(rec.passed for rec in self.records)
 
     def summary(self) -> str:
         total = len(self.records)

@@ -253,9 +253,6 @@ class GroupHom(NamedTuple):
     target: FiniteGroup
     mapping: tuple[int, ...]
 
-    def is_injective(self) -> bool:
-        return len(set(self.mapping)) == self.source.order
-
 
 def hom(source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int]) -> GroupHom:
     """A homomorphism given from outside, checked pairwise."""
@@ -389,10 +386,6 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     return [subgroup(g, mem) for mem in sorted(sorted(map(sorted, found)), key=len)]
 
 
-def all_normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    return [s for s in all_subgroups(g) if s.is_normal()]
-
-
 # ---------------------------------------------------------------------------
 # class functions
 
@@ -444,9 +437,6 @@ class ClassFunction(_ClassFunctionFields):
     def conjugate(self) -> "ClassFunction":
         """Valuewise cyclotomic conjugation zeta -> zeta^(-1)."""
         return ClassFunction(self.group, tuple([v.conjugate() for v in self.values]))
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
 
 
 def _same_group(a: ClassFunction, b: ClassFunction) -> None:

@@ -15,7 +15,11 @@ Two exact models, independent of the character-pairing route:
 Both oracles compute c_lin(M) = nu_K(det phi) where phi is the multiplication
 map (M (x) O_L)^Gamma (x) O_L -> M (x) O_L; the invariant lattice is found by
 an exact kernel computation (field elimination in the tame model, saturated
-integer kernels via unimodular reduction in the monogenic model).
+integer kernels via unimodular reduction in the monogenic model).  Both take
+det phi from the one fraction-free ``_linalg.bareiss_det``: over
+Q(zeta_n)[pi] in the tame model, and in the monogenic model over Z, as nu_p
+of the integer norm determinant (phi as a Z-linear map), since
+nu_p(N_{L/Q_p} y) = nu_L(y) for L/Q_p totally ramified.
 
 The monogenic model also extracts lower-numbering ramification filtrations,
 i_Gamma(sigma) = nu_L(sigma(x) - x), and tame characters.  Matching the
@@ -31,8 +35,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from ._linalg import bareiss_poly_det, field_kernel, integer_kernel
-from ._poly import pcompose_mod, pinvmod, plow_order, pmod, pmul, presultant, psub, ptrim
+from ._linalg import bareiss_det, field_kernel, integer_kernel
+from ._poly import pcompose_mod, pexact_div, plow_order, pmod, pmul, presultant, psub, ptrim
 from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, multiplicative_order, roots_of_unity
 from .grouptheory import FiniteGroup, compared_fields, group_from_table
 from .ramification import OracleError, RamificationData, build_ramification
@@ -90,10 +94,16 @@ class TameModel(_TameModelFields):
             [ptrim([basis[k][j * n + a] for a in range(n)]) for k in range(d)]
             for j in range(d)
         ]
-        det = bareiss_poly_det(mat)
+        # (1,), the polynomial 1, is the one pdivmod divides by without a loop
+        det = bareiss_det(mat, _poly_step, (1,))
         if not det:
             raise OracleError("base-change map is not injective")
         return Fraction(plow_order(det), n)
+
+
+def _poly_step(a: tuple, b: tuple, c: tuple, d: tuple, prev: tuple) -> tuple:
+    """The Bareiss step over a polynomial ring: (a d - b c) / prev."""
+    return pexact_div(psub(pmul(a, d), pmul(b, c)), prev)
 
 
 def oracle_tame_clin(n: int, exponents: Sequence[int]) -> Fraction:
@@ -204,7 +214,7 @@ def valuation_monogenic(order: MonogenicOrder, y: Sequence[int] | Sequence[Fract
     return _val_p(res, order.p)
 
 
-def _val_p(q: Fraction, p: int) -> int:
+def _val_p(q: int | Fraction, p: int) -> int:
     if q == 0:
         raise ArithmeticError("valuation of zero")
     v = 0
@@ -236,8 +246,9 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
     ``action`` lists one integer matrix per group element (indexed like
     ``order.galois``) defining the Galois action on the lattice M.  The
     invariant lattice is the integer kernel of the stacked (sigma (x) sigma - 1)
-    matrices (saturated by construction); the determinant of phi is taken in
-    Q[x]/(f) and its valuation through the norm.
+    matrices (saturated by construction).  nu_L(det phi) is nu_p of the
+    integer norm determinant: the determinant of phi as a Z-linear map, on
+    the Z-basis v_k x^b (b < e) of its source, with x^b v_k reduced mod f.
     """
     e = order.degree
     grp = order.group
@@ -275,51 +286,32 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
             f"invariant lattice rank {len(kernel)} differs from module rank {d}; "
             "the action is not through a finite quotient compatible with the order"
         )
-    ff = tuple(Fraction(c) for c in order.f)
-    mat = [
-        [tuple(Fraction(kernel[k][j * e + a]) for a in range(e)) for k in range(d)]
-        for j in range(d)
-    ]
-    det = _nf_det(mat, ff)
+    # row (k, b) lists the coordinates of x^b v_k on the Z-basis e_j x^a:
+    # the transpose of phi's matrix, with the same determinant.  x y mod f
+    # shifts each block of e coordinates up and subtracts its top times f, on
+    # lists: tuples of each length up to 19 would fill CPython's tuple free
+    # lists, which only a full collection empties (+3 MiB of peak RSS on the
+    # oracle-lattice benchmark, CPython 3.11)
+    f = order.f
+    rows = []
+    for v in kernel:
+        row = list(v)
+        for _ in range(e):
+            rows.append(row)
+            nxt = []
+            for j in range(0, dim, e):
+                top = row[j + e - 1]
+                nxt += [(row[j + a - 1] if a else 0) - top * f[a] for a in range(e)]
+            row = nxt
+    det = bareiss_det(rows, lambda a, b, c, d, prev: (a * d - b * c) // prev, 1)
     if not det:
         raise OracleError("base-change map is not injective")
-    val = valuation_monogenic(order, det)
-    return Fraction(val, e)
+    return Fraction(_val_p(det, order.p), e)
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     n = len(a)
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _nf_mul(a, b, f):
-    return pmod(pmul(a, b), f)
-
-
-def _nf_det(mat: list[list[tuple]], f: tuple) -> tuple:
-    """Determinant over Q[x]/(f) by Gaussian elimination with exact fractions."""
-    n = len(mat)
-    a = [[ptrim(x) for x in row] for row in mat]
-    det: tuple = (Fraction(1),)
-    sign = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            return ()
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        pk = a[k][k]
-        det = _nf_mul(det, pk, f)
-        inv = pinvmod(pk, f)
-        for i in range(k + 1, n):
-            if a[i][k]:
-                factor = _nf_mul(a[i][k], inv, f)
-                for j in range(k, n):
-                    a[i][j] = psub(a[i][j], _nf_mul(factor, a[k][j], f))
-    if sign < 0:
-        det = tuple(-c for c in det)
-    return det
 
 
 # ---------------------------------------------------------------------------

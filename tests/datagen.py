@@ -13,8 +13,9 @@ from math import gcd
 
 from refartin.grouptheory import (
     FiniteGroup,
+    Subgroup,
     abelian_group,
-    all_normal_subgroups,
+    all_subgroups,
     build_group,
     cyclic_group,
 )
@@ -23,6 +24,10 @@ from refartin.ramification import (
     build_ramification,
     proj_order,
 )
+
+
+def all_normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
+    return [s for s in all_subgroups(g) if s.is_normal()]
 
 
 def group_pool() -> list[FiniteGroup]:

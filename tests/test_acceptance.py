@@ -25,7 +25,6 @@ from refartin.fixtures import (
     tame_cyclic,
 )
 from refartin.grouptheory import (
-    all_normal_subgroups,
     all_subgroups,
     cyclic_group,
     hom,
@@ -147,7 +146,7 @@ def test_criterion_05_pushforward_and_restriction(fixtures, random_data):
     with criterion(5) as c:
         for name, r in fixtures:
             bar = refined_artin(r)
-            for nsub in all_normal_subgroups(r.gamma):
+            for nsub in datagen.all_normal_subgroups(r.gamma):
                 _, proj = quotient(r.gamma, nsub)
                 assert (
                     pushforward(proj, bar).values

@@ -673,3 +673,50 @@ def test_rep_literals_share_the_digit_limit(tmp_path, capsys):
     assert err == "error: reps.chi has 4001 digits in its rational literals, past the limit 4000\n"
     job["reps"]["chi"]["values"][1] = "1/" + "7" * 2000
     assert main(["compute", write(tmp_path, "job.json", job), "conductor", "chi"]) in (0, 3)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[" * 100_000, "arrays or objects nested too deeply"),
+     ('{"version": 1, "ramification": {"group": {"cyclic": 2}, "filtration": [[0, 1]], '
+      '"p": ' + "7" * 5000 + "}}", "an integer has more than 4300 digits")],
+    ids=["deep", "long-integer"],
+)
+@pytest.mark.parametrize("command", ["validate PATH", "verify PATH", "compute PATH artin",
+                                     "oracle monogenic PATH"])
+def test_json_past_the_parser_limits_is_an_input_error(tmp_path, capsys, text, message,
+                                                        command):
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    assert main(command.replace("PATH", str(path)).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}")
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "field, degree, code",
+    [("f", 13, 2), ("module", 13, 2), ("f", 12, 3), ("module", 12, 3)],
+)
+@pytest.mark.parametrize("command", ["monogenic", "derive-fixture"])
+def test_order_file_degree_and_module_rank_limits(tmp_path, monkeypatch, capsys, command,
+                                                  field, degree, code):
+    """deg f and the module rank are refused past 12 before any order is built;
+    12 itself reaches the builder, here a stub that fails with exit 3."""
+    import refartin.oracle as oracle
+
+    def stub(*args):
+        raise oracle.OracleError("the order builder was reached")
+
+    monkeypatch.setattr(oracle, "build_monogenic_order", stub)
+    order = dict(QUAD_ORDER)
+    if field == "f":
+        order["f"] = [-2] + [0] * (degree - 1) + [1]
+    else:
+        order["module"] = [[[0] * degree] * degree] * 2
+    assert main(["oracle", command, write(tmp_path, "order.json", order)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith(f"error: oracle.{field} ") and "12" in err
+    else:
+        assert "the order builder was reached" in err

@@ -10,7 +10,6 @@ from refartin.grouptheory import (
     GroupValidationError,
     MAX_SUBGROUPS,
     abelian_irreducibles,
-    all_normal_subgroups,
     all_subgroups,
     build_group,
     compose,
@@ -24,6 +23,8 @@ from refartin.grouptheory import (
     standard_characters,
     subgroup,
 )
+
+from datagen import all_normal_subgroups
 
 
 def s3():
@@ -97,7 +98,7 @@ def test_subgroup_quotient_hom_examples():
     assert sorted(len(f) for f in fibers.values()) == [2, 2]
     assert subgroup(s3(), [0]).order == 1
     h = hom(cyclic_group(2), c4, [0, 2])
-    assert h.is_injective()
+    assert len(set(h.mapping)) == h.source.order  # injective
     with pytest.raises(GroupValidationError):
         hom(cyclic_group(2), c4, [0, 1])  # 1 has order 4, not a hom
     with pytest.raises(GroupValidationError):

@@ -1,11 +1,13 @@
-"""The shared exact kernels: primality, closure and integer polynomials."""
+"""The shared exact kernels: primality, closure, integer polynomials and the
+fraction-free determinant."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from refartin._linalg import bareiss_det
 from refartin._poly import padd, pcompose, pcompose_mod, pdivmod, pmod, pmul, ptrim
 from refartin.cyclotomic import closure, is_prime
 from refartin.grouptheory import cyclic_group
@@ -74,3 +76,22 @@ def test_integer_division_by_monic_stays_integer(a, b, f_low):
 def test_integer_division_by_non_monic_raises(a, lead, f_low):
     with pytest.raises(ArithmeticError):
         pdivmod(a, tuple(f_low) + (lead,))
+
+
+square_int_matrices = st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_int_matrices)
+@example([])
+@example([[0, 1], [1, 0]])  # zero leading pivot
+@example([[0, 0, 1], [0, 2, 3], [4, 5, 6]])  # two zero pivots in a row
+@example([[1, 2], [2, 4]])  # singular
+@example([[0, 1, 2], [0, 3, 4], [0, 5, 6]])  # a zero column
+def test_bareiss_det_over_z_matches_sympy_up_to_sign(mat):
+    sympy = pytest.importorskip("sympy")
+    det = bareiss_det(mat, lambda a, b, c, d, prev: (a * d - b * c) // prev, 1)
+    assert type(det) is int
+    assert abs(det) == abs(sympy.Matrix(len(mat), len(mat), sum(mat, [])).det())

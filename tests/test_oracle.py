@@ -11,6 +11,9 @@ from refartin.fixtures import (
     real_cubic_order7,
 )
 from refartin.grouptheory import standard_characters
+import refartin.oracle as oracle
+from refartin._linalg import bareiss_det
+from refartin._poly import pmod, presultant, ptrim
 from refartin.oracle import (
     OracleError,
     TameModel,
@@ -90,6 +93,48 @@ def test_monogenic_representation_validation():
         oracle_monogenic_clin(o, [[[-1]], [[1]]])
     with pytest.raises(OracleError, match="representation"):
         oracle_monogenic_clin(o, [[[1]], [[2]]])
+
+
+def test_rank_zero_module_has_zero_clin():
+    assert TameModel(5).clin([]) == 0
+    assert oracle_tame_clin(1, []) == 0
+    assert oracle_monogenic_clin(quad_order(), [[], []]) == 0
+
+
+@pytest.mark.parametrize(
+    "order",
+    [cyclotomic_tower_order(2, 2), cyclotomic_tower_order(2, 3), cyclotomic_tower_order(3, 2),
+     cyclotomic_tower_order(5, 1), cyclotomic_tower_order(7, 1), real_cubic_order7(),
+     quad_order()],
+    ids=["phi4", "phi8", "phi9", "phi5", "phi7", "cubic7", "quad"],
+)
+def test_norm_determinant_is_the_norm_of_the_O_L_determinant(monkeypatch, order):
+    """|det_Z phi| = |N_{L/Q}(det_{O_L} phi)| = |Res(f, det_{O_L} phi)|, with
+    det_{O_L} phi taken independently over Q[x] and reduced mod f; the
+    oracle's value is its nu_L over e."""
+    captured = []
+
+    def spy(mat, step, one):
+        captured.append((mat, bareiss_det(mat, step, one)))
+        return captured[-1][1]
+
+    monkeypatch.setattr(oracle, "bareiss_det", spy)
+    e, g = order.degree, order.group.order
+    modules = [regular_action(order.group), [[[1]]] * g]
+    if g == 2:
+        modules.append([[[1]], [[-1]]])
+    f = tuple(Fraction(c) for c in order.f)
+    for action in modules:
+        clin = oracle_monogenic_clin(order, action)
+        (rows, det_z), = captured
+        captured.clear()
+        # rows k e (b = 0) of the norm matrix hold the kernel vector v_k itself
+        d = len(rows) // e
+        mat = [[ptrim([Fraction(c) for c in rows[k * e][j * e:(j + 1) * e]])
+                for k in range(d)] for j in range(d)]
+        det_ol = pmod(bareiss_det(mat, oracle._poly_step, (Fraction(1),)), f)
+        assert abs(det_z) == abs(presultant(f, det_ol)) != 0
+        assert clin == Fraction(valuation_monogenic(order, det_ol), e)
 
 
 # -- valuations ------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from refartin.fixtures import (
 )
 from refartin.grouptheory import (
     abelian_group,
-    all_normal_subgroups,
     all_subgroups,
     cyclic_group,
     pair,
@@ -155,7 +154,7 @@ def test_artin_character_examples():
     assert [v.rational() for v in artin_character(t).values] == [3, -1, -1, -1]
     q = quad_sqrt2()
     assert [v.rational() for v in artin_character(q).values] == [3, -3]
-    assert artin_character(unramified(3, 2)).is_zero()
+    assert not any(artin_character(unramified(3, 2)).values)
     for r in [t, q, mixed_c6()]:
         assert pair(artin_character(r), standard_characters(r.gamma)[1]) == ZERO
 
@@ -164,7 +163,7 @@ def test_artin_character_examples():
 
 
 def test_bar_n_examples():
-    assert bar_n(1).is_zero()
+    assert not any(bar_n(1).values)
     assert [v.rational() for v in bar_n(2).values] == [Fraction(1, 2), Fraction(-1, 2)]
     for n in range(1, 25):
         bn = bar_n(n)
@@ -310,7 +309,7 @@ def test_quotient_data_examples():
 
 def test_quotient_pushforward_identity_fixtures():
     for r in [quad_sqrt2(), mixed_c6(), tame_cyclic(12, 5), tame_cyclic(8, 3)]:
-        for nsub in all_normal_subgroups(r.gamma):
+        for nsub in datagen.all_normal_subgroups(r.gamma):
             q, proj = quotient(r.gamma, nsub)
             lhs = pushforward(proj, refined_artin(r))
             rhs = refined_artin(quotient_data(r, nsub))
