@@ -355,13 +355,7 @@ class Cyclotomic(_CyclotomicFields):
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = lcm(self.conductor, other.conductor)
-        a, b = self._embed(n), other._embed(n)
-        if self.den == other.den:
-            return Cyclotomic._new(n, list(map(add, a, b)), self.den)
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        return Cyclotomic._new(n, [x * fa + y * fb for x, y in zip(a, b)], den)
+        return cyclo_sum((self, other))
 
     __radd__ = __add__
 

@@ -144,14 +144,22 @@ def group_from_table(table: Sequence[Sequence[int]]) -> FiniteGroup:
     for a, row in enumerate(tab):
         if not any(x == 0 and tab[b][a] == 0 for b, x in enumerate(row)):
             raise GroupValidationError(f"element {a} has no two-sided inverse")
-    gens, seen = [], {0}
-    for g in range(m):  # Light's test, on each element of a generating set
-        if g not in seen:
-            if any(tab[row[g]] != tuple(row[y] for y in tab[g]) for row in tab):
-                raise GroupValidationError("multiplication table is not associative")
-            gens.append(g)
-            seen = closure(gens, lambda a, b: tab[a][b], 0)
+    for g in generators(tab):  # Light's test, on each element of a generating set
+        if any(tab[row[g]] != tuple(row[y] for y in tab[g]) for row in tab):
+            raise GroupValidationError("multiplication table is not associative")
     return _group(tab)
+
+
+def generators(table: Sequence[Sequence[int]]) -> list[int]:
+    """A generating set of the table's elements, identity at index 0, chosen
+    greedily: each element, in index order, that the ones before it do not
+    generate."""
+    gens, seen = [], {0}
+    for g in range(len(table)):
+        if g not in seen:
+            gens.append(g)
+            seen = closure(gens, lambda a, b: table[a][b], 0)
+    return gens
 
 
 def _group(tab: tuple[tuple[int, ...], ...]) -> FiniteGroup:

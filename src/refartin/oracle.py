@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 from ._linalg import bareiss_det, field_kernel, integer_kernel
 from ._poly import pcompose_mod, pexact_div, plow_order, pmod, pmul, presultant, psub, ptrim
 from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, multiplicative_order, roots_of_unity
-from .grouptheory import FiniteGroup, compared_fields, group_from_table
+from .grouptheory import FiniteGroup, compared_fields, generators, group_from_table
 from .ramification import OracleError, RamificationData, build_ramification
 
 
@@ -246,9 +246,11 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
     ``action`` lists one integer matrix per group element (indexed like
     ``order.galois``) defining the Galois action on the lattice M.  The
     invariant lattice is the integer kernel of the stacked (sigma (x) sigma - 1)
-    matrices (saturated by construction).  nu_L(det phi) is nu_p of the
-    integer norm determinant: the determinant of phi as a Z-linear map, on
-    the Z-basis v_k x^b (b < e) of its source, with x^b v_k reduced mod f.
+    matrices over a generating set of the group (saturated by construction);
+    the representation itself is checked on every pair of elements.
+    nu_L(det phi) is nu_p of the integer norm determinant: the determinant of
+    phi as a Z-linear map, on the Z-basis v_k x^b (b < e) of its source, with
+    x^b v_k reduced mod f.
     """
     e = order.degree
     grp = order.group
@@ -264,10 +266,10 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
         for b in range(grp.order):
             if _mat_mul(mats[a], mats[b]) != mats[grp.table[a][b]]:
                 raise OracleError("action matrices do not define a representation")
-    # stacked (B_sigma - 1) over all nontrivial sigma, B = A (x) S
+    # stacked (B_sigma - 1) over generators sigma, B = A (x) S
     stacked: list[list[int]] = []
     dim = d * e
-    for s in range(1, grp.order):
+    for s in generators(grp.table):
         smat = order.sigma_matrix(s)
         amat = mats[s]
         for j2 in range(d):

@@ -125,6 +125,13 @@ def test_qp_irreducibles_examples():
     assert sorted(ch.value(0).rational() for ch in qp_irreducibles_cyclic(9, 3)) == [1, 2, 6]
 
 
+def test_qp_irreducibles_refuse_p_not_zero_or_prime():
+    # p = 1 would strip factors of 1 from n forever; a composite p has no Frobenius
+    for p in (1, 4, -3):
+        with pytest.raises(ValueError, match="0 or a prime"):
+            qp_irreducibles_cyclic(4, p)
+
+
 def test_qp_irreducibles_orthogonal_and_sum_to_regular():
     for n, p in [(12, 2), (6, 5), (8, 3), (9, 3), (10, 0), (7, 2)]:
         irr = qp_irreducibles_cyclic(n, p)
@@ -216,6 +223,22 @@ def test_verify_suite_detects_corruption():
     assert not rep.binding_ok
     names = {rec.name for rec in rep.records if not rec.passed}
     assert "bisection" in names
+
+
+def test_verify_rows_pass_exactly_when_expected_equals_computed():
+    """The row rule: passed == (expected == computed) on every record, over
+    the curated fixtures, the abstract sextic (whose quotient by the tame
+    part is refused) and a corrupted datum, with and without advisory."""
+    from refartin.fixtures import curated_fixtures, mixed_c6_abstract
+
+    data = [r for _, r in curated_fixtures()]
+    data += [mixed_c6_abstract(), tame_cyclic(5, 11)._replace(tame_exponent=2)]
+    records = [rec for r in data for advisory in (False, True)
+               for rec in verify_suite(r, advisory=advisory).records]
+    for rec in records:
+        assert rec.passed == (rec.expected == rec.computed), rec.to_json()
+    assert any(not rec.passed for rec in records)
+    assert any(rec.computed.startswith("error: ") for rec in records)
 
 
 def test_verify_suite_advisory_flagging():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from refartin.cyclotomic import ONE, ZERO, from_rational, make_root
+from refartin.cyclotomic import ONE, ZERO, closure, from_rational, make_root
 from refartin.grouptheory import (
     ClassFunction,
     GroupOrderError,
@@ -14,6 +14,7 @@ from refartin.grouptheory import (
     build_group,
     compose,
     cyclic_group,
+    generators,
     group_from_table,
     hom,
     pair,
@@ -54,6 +55,41 @@ def test_table_axiom_checks():
     bad[1][1] = 1  # now 1*1 = 1 but 1*2 = 0: not a group
     with pytest.raises(GroupValidationError):
         group_from_table(bad)
+
+
+# the groups of the CLI group jobs: S3, D4, Q8, A4 and eight abelian groups
+GROUP_JOB_SPECS = [
+    {"perm": [[[1, 2]], [[1, 2, 3]]]},
+    {"perm": [[[1, 2, 3, 4]], [[1, 3]]]},
+    {"perm": [[[1, 2, 3, 4], [5, 6, 7, 8]], [[1, 5, 3, 7], [2, 8, 4, 6]]]},
+    {"perm": [[[1, 2, 3]], [[1, 2], [3, 4]]]},
+    {"abelian": [2, 2, 2]}, {"abelian": [4, 4]}, {"abelian": [2, 2, 2, 2]},
+    {"abelian": [3, 3]}, {"abelian": [3, 9]}, {"abelian": [2, 12]},
+    {"abelian": [2, 2, 6]}, {"abelian": [4, 12]},
+]
+
+
+def test_generators_generate_every_fixture_and_group_job_group():
+    from refartin.fixtures import (
+        curated_fixtures,
+        cyclotomic_tower_order,
+        mixed_c6_abstract,
+        quad_order,
+        real_cubic_order7,
+    )
+
+    groups = [build_group(spec) for spec in GROUP_JOB_SPECS]
+    groups += [r.gamma for _, r in curated_fixtures()] + [mixed_c6_abstract().gamma]
+    groups += [o.group for o in (quad_order(), real_cubic_order7(), cyclotomic_tower_order(2, 3),
+                                 cyclotomic_tower_order(3, 2), cyclotomic_tower_order(13, 1))]
+    for g in groups:
+        gens = generators(g.table)
+        assert 0 not in gens
+        assert closure(gens, g.mul, 0) == set(range(g.order))
+    # greedy: each generator lies outside the span of the ones before it
+    assert generators(build_group({"abelian": [2, 2, 2]}).table) == [1, 2, 4]
+    assert generators(cyclic_group(12).table) == [1]
+    assert generators(cyclic_group(1).table) == []
 
 
 def test_perm_group_validation():
