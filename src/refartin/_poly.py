@@ -8,16 +8,15 @@ truthiness (e.g. :class:`refartin.cyclotomic.Cyclotomic`).
 Integer coefficients are allowed wherever no division is needed: division
 divides only by a leading coefficient other than 1, so dividing by a monic
 polynomial keeps integer input integer (``pdivmod``, ``pmod``,
-``pexact_div``, ``pcompose_mod``).  An integer divisor that is not monic
-raises ArithmeticError; a float never appears.  Nothing here inverts modulo
-a polynomial: the oracles' determinants are fraction-free
-(``_linalg.bareiss_det``) and their valuations are read through
-``presultant`` or ``plow_order``.
+``pexact_div``).  An integer divisor that is not monic raises
+ArithmeticError; a float never appears.  Nothing here inverts modulo a
+polynomial or takes a resultant: the oracles' determinants are fraction-free
+(``_linalg.bareiss_det``), and their valuations are read through
+``plow_order`` (tame) or as nu_p of an integer norm determinant (monogenic).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -106,31 +105,6 @@ def pcompose(a: Sequence, b: Sequence) -> tuple:
     for c in reversed(list(a)):
         out = padd(pmul(out, b), (c,) if c else ())
     return out
-
-
-def pcompose_mod(a: Sequence, b: Sequence, f: Sequence) -> tuple:
-    """a(b(x)) mod f by Horner evaluation, reducing mod f at every step."""
-    out: tuple = ()
-    for c in reversed(list(a)):
-        out = pmod(padd(pmul(out, b), (c,) if c else ()), f)
-    return out
-
-
-def presultant(a: Sequence, b: Sequence) -> Fraction:
-    """Resultant of two polynomials via the Euclidean remainder sequence."""
-    a, b = ptrim(a), ptrim(b)
-    if not a or not b:
-        return Fraction(0)
-    acc = Fraction(1)
-    while pdeg(b) > 0:
-        r = pmod(a, b)
-        if not r:
-            return Fraction(0)
-        acc *= b[-1] ** (pdeg(a) - pdeg(r))
-        if (pdeg(a) * pdeg(b)) % 2 == 1:
-            acc = -acc
-        a, b = b, r
-    return acc * b[0] ** pdeg(a)
 
 
 def plow_order(a: Sequence) -> int:

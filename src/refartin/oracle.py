@@ -10,7 +10,11 @@ Two exact models, independent of the character-pairing route:
 * a mixed-characteristic monogenic model: the dense order Z[x]/(f) with f
   monic and Eisenstein at p (so x is a uniformizer of a totally ramified
   extension of Q_p), a Galois action given by integer polynomials, and
-  valuations computed through norms: nu_L(y) = nu_p(Res(f, y)).
+  valuations computed through norms: nu_L(y) = nu_p(N_{L/Q_p} y), the
+  integer determinant of multiplication by y.  Inputs are reduced mod f once
+  (``_poly.pmod``); after that every computation in Z[x]/(f) runs on integer
+  lists through two operations: shifts by x (``_x_shifts``) and the powers
+  g^0, ..., g^e of each Galois map, computed once per order.
 
 Both oracles compute c_lin(M) = nu_K(det phi) where phi is the multiplication
 map (M (x) O_L)^Gamma (x) O_L -> M (x) O_L; the invariant lattice is found by
@@ -33,10 +37,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from ._linalg import bareiss_det, field_kernel, integer_kernel
-from ._poly import pcompose_mod, pexact_div, plow_order, pmod, pmul, presultant, psub, ptrim
+from ._poly import pexact_div, plow_order, pmod, pmul, psub, ptrim
 from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, multiplicative_order, roots_of_unity
 from .grouptheory import FiniteGroup, compared_fields, generators, group_from_table
 from .ramification import OracleError, RamificationData, build_ramification
@@ -106,6 +111,11 @@ def _poly_step(a: tuple, b: tuple, c: tuple, d: tuple, prev: tuple) -> tuple:
     return pexact_div(psub(pmul(a, d), pmul(b, c)), prev)
 
 
+def _int_step(a: int, b: int, c: int, d: int, prev: int) -> int:
+    """The Bareiss step over Z: (a d - b c) / prev."""
+    return (a * d - b * c) // prev
+
+
 def oracle_tame_clin(n: int, exponents: Sequence[int]) -> Fraction:
     """c_lin for the diagonal action with the given exponents on the tame
     cyclic model of degree n; equals sum_j ((n - i_j) mod n)/n."""
@@ -121,6 +131,7 @@ class _MonogenicOrderFields(NamedTuple):
     f: tuple[int, ...]
     galois: tuple[tuple[int, ...], ...]
     group: FiniteGroup
+    powers: tuple[list[list[int]], ...]
 
 
 class MonogenicOrder(_MonogenicOrderFields):
@@ -130,8 +141,9 @@ class MonogenicOrder(_MonogenicOrderFields):
     lists one integer polynomial per group element (reduced mod f, identity
     first) with g(x) again a root of f; composition must close into a group
     of order deg f.  ``group`` is that abstract group, with element i the
-    automorphism x -> galois[i](x); it is built here, and equality and
-    hashing read (p, f, galois) only.
+    automorphism x -> galois[i](x), and ``powers[i]`` lists g^0, ..., g^e
+    mod f for g = galois[i]; both are built here.  Equality and hashing read
+    (p, f, galois) only, and repr does not show ``powers``.
     """
 
     __slots__ = ()
@@ -153,41 +165,48 @@ class MonogenicOrder(_MonogenicOrderFields):
             raise OracleError("the first Galois map must be the identity x -> x")
         if len(set(maps)) != e:
             raise OracleError("Galois maps are not distinct")
+        powers = []
         for g in maps:
-            if pcompose_mod(f, g, f):
-                raise OracleError("a Galois map does not send x to a root of f")
+            # g^(k+1) = sum_j (g^k)_j x^j g: the rows of multiplication by g
+            # are the x-shifts of g
+            times_g = _x_shifts(list(g), f)
+            pw = [[1] + [0] * (e - 1)]
+            for _ in range(e):
+                pw.append(_combine(pw[-1], times_g))
+            powers.append(pw)
+        # f(g) = sum_k f_k g^k
+        if any(any(_combine(f, pw)) for pw in powers):
+            raise OracleError("a Galois map does not send x to a root of f")
         index = {g: i for i, g in enumerate(maps)}
         table = []
-        for a in maps:
+        for pw in powers:
             row = []
             for b in maps:
-                # (sigma_a o sigma_b)(x) = g_b(g_a(x)) mod f
-                comp = _reduce_int(pcompose_mod(b, a, f), f)
+                # (sigma_a o sigma_b)(x) = g_b(g_a(x)) = sum_k b_k g_a^k
+                comp = tuple(_combine(b, pw))
                 if comp not in index:
                     raise OracleError("Galois maps do not close under composition")
                 row.append(index[comp])
             table.append(row)
-        return tuple.__new__(cls, (p, f, tuple(maps), group_from_table(table)))
+        return tuple.__new__(cls, (p, f, tuple(maps), group_from_table(table), tuple(powers)))
 
     def __getnewargs__(self):
         return self[:3]
 
     __eq__, __ne__, __hash__ = compared_fields(3)
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:4], self))
+        return f"MonogenicOrder({fields})"
+
     @property
     def degree(self) -> int:
         return len(self.f) - 1
 
     def sigma_matrix(self, i: int) -> list[list[int]]:
-        """Matrix of the i-th automorphism on the Z-basis 1, x, .., x^(e-1)."""
-        e = self.degree
-        g = self.galois[i]
-        cols = []
-        cur = (1,) + (0,) * (e - 1)  # g^0
-        for _ in range(e):
-            cols.append(cur)
-            cur = _reduce_int(pmul(cur, g), self.f)
-        return [[cols[a][b] for a in range(e)] for b in range(e)]
+        """Matrix of the i-th automorphism on the Z-basis 1, x, .., x^(e-1):
+        its columns are g^0, ..., g^(e-1)."""
+        return [list(row) for row in zip(*self.powers[i][:-1])]
 
 
 def _reduce_int(g: Sequence[int], f: tuple[int, ...]) -> tuple[int, ...]:
@@ -196,35 +215,58 @@ def _reduce_int(g: Sequence[int], f: tuple[int, ...]) -> tuple[int, ...]:
     return out + (0,) * (len(f) - 1 - len(out))
 
 
+def _x_shifts(v: list[int], f: tuple[int, ...]) -> list[list[int]]:
+    """v, x v, ..., x^(e-1) v for e = deg f, each block of e coordinates of
+    v an element of Z[x]/(f).
+
+    x y mod f shifts each block up and subtracts its top times f.  Rows are
+    lists: tuples of each length up to 19 would fill CPython's tuple free
+    lists, which only a full collection empties (+3 MiB of peak RSS on the
+    oracle-lattice benchmark, CPython 3.11)."""
+    e = len(f) - 1
+    rows = [v]
+    for _ in range(e - 1):
+        nxt = []
+        for j in range(0, len(v), e):
+            top = v[j + e - 1]
+            nxt += [(v[j + a - 1] if a else 0) - top * f[a] for a in range(e)]
+        v = nxt
+        rows.append(v)
+    return rows
+
+
+def _combine(coeffs: Sequence[int], vectors: Sequence[list[int]]) -> list[int]:
+    """sum_k coeffs[k] vectors[k], over the first len(coeffs) vectors."""
+    return [sum(map(mul, coeffs, col)) for col in zip(*vectors)]
+
+
 def build_monogenic_order(p: int, f: Sequence[int], galois: Sequence[Sequence[int]]) -> MonogenicOrder:
     return MonogenicOrder(int(p), tuple(int(c) for c in f), tuple(tuple(int(c) for c in g) for g in galois))
 
 
 def valuation_monogenic(order: MonogenicOrder, y: Sequence[int] | Sequence[Fraction]):
-    """nu_L(y) for y given as a polynomial in x: nu_p(Res(f, y)).
+    """nu_L(y) for y given as a polynomial in x: nu_p(N_{L/Q_p} y), the
+    integer determinant of multiplication by y on Z[x]/(f).
 
+    A rational y is z/D with z integral, and nu_L(y) = nu_L(z) - e nu_p(D).
     Returns math.inf for y = 0.  Valid because f is Eisenstein, so x is a
     uniformizer of the single (totally ramified) place above p.
     """
-    ff = tuple(Fraction(c) for c in order.f)
-    yy = pmod(tuple(Fraction(c) for c in y), ff)
-    if not yy:
+    den = math.lcm(*(c.denominator for c in y))
+    z = list(_reduce_int([c.numerator * (den // c.denominator) for c in y], order.f))
+    if not any(z):
         return math.inf
-    res = presultant(ff, yy)
-    return _val_p(res, order.p)
+    det = bareiss_det(_x_shifts(z, order.f), _int_step, 1)
+    return _val_p(det, order.p) - order.degree * _val_p(den, order.p)
 
 
-def _val_p(q: int | Fraction, p: int) -> int:
+def _val_p(q: int, p: int) -> int:
     if q == 0:
         raise ArithmeticError("valuation of zero")
     v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
+    while q % p == 0:
+        q //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
@@ -245,12 +287,14 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
 
     ``action`` lists one integer matrix per group element (indexed like
     ``order.galois``) defining the Galois action on the lattice M.  The
-    invariant lattice is the integer kernel of the stacked (sigma (x) sigma - 1)
-    matrices over a generating set of the group (saturated by construction);
-    the representation itself is checked on every pair of elements.
-    nu_L(det phi) is nu_p of the integer norm determinant: the determinant of
-    phi as a Z-linear map, on the Z-basis v_k x^b (b < e) of its source, with
-    x^b v_k reduced mod f.
+    representation is checked as rho(a) rho(s) = rho(as) for every element a
+    and every s in a generating set, which gives rho(a) rho(b) = rho(ab) for
+    every pair by induction on the length of b as a word in the generators.
+    The invariant lattice is the integer kernel of the stacked
+    (sigma (x) sigma - 1) matrices over the same generators (saturated by
+    construction).  nu_L(det phi) is nu_p of the integer norm determinant:
+    the determinant of phi as a Z-linear map, on the Z-basis v_k x^b (b < e)
+    of its source, with x^b v_k reduced mod f.
     """
     e = order.degree
     grp = order.group
@@ -262,14 +306,15 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
         raise OracleError("action matrices must be square of equal size")
     if mats[0] != [[1 if i == j else 0 for j in range(d)] for i in range(d)]:
         raise OracleError("identity element must act as the identity matrix")
+    gens = generators(grp.table)
     for a in range(grp.order):
-        for b in range(grp.order):
-            if _mat_mul(mats[a], mats[b]) != mats[grp.table[a][b]]:
+        for s in gens:
+            if _mat_mul(mats[a], mats[s]) != mats[grp.table[a][s]]:
                 raise OracleError("action matrices do not define a representation")
     # stacked (B_sigma - 1) over generators sigma, B = A (x) S
     stacked: list[list[int]] = []
     dim = d * e
-    for s in generators(grp.table):
+    for s in gens:
         smat = order.sigma_matrix(s)
         amat = mats[s]
         for j2 in range(d):
@@ -289,23 +334,9 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
             "the action is not through a finite quotient compatible with the order"
         )
     # row (k, b) lists the coordinates of x^b v_k on the Z-basis e_j x^a:
-    # the transpose of phi's matrix, with the same determinant.  x y mod f
-    # shifts each block of e coordinates up and subtracts its top times f, on
-    # lists: tuples of each length up to 19 would fill CPython's tuple free
-    # lists, which only a full collection empties (+3 MiB of peak RSS on the
-    # oracle-lattice benchmark, CPython 3.11)
-    f = order.f
-    rows = []
-    for v in kernel:
-        row = list(v)
-        for _ in range(e):
-            rows.append(row)
-            nxt = []
-            for j in range(0, dim, e):
-                top = row[j + e - 1]
-                nxt += [(row[j + a - 1] if a else 0) - top * f[a] for a in range(e)]
-            row = nxt
-    det = bareiss_det(rows, lambda a, b, c, d, prev: (a * d - b * c) // prev, 1)
+    # the transpose of phi's matrix, with the same determinant
+    rows = [row for v in kernel for row in _x_shifts(list(v), order.f)]
+    det = bareiss_det(rows, _int_step, 1)
     if not det:
         raise OracleError("base-change map is not injective")
     return Fraction(_val_p(det, order.p), e)
@@ -379,9 +410,11 @@ def tame_character_from_monogenic(order: MonogenicOrder, prime_choice: int = 0) 
         raise OracleError("the extension has trivial tame quotient")
     if math.gcd(p, n) != 1:
         raise OracleError(f"tame degree {n} not coprime to p={p}")
+    # on generators only, as for the representation in oracle_monogenic_clin
+    gens = generators(grp.table)
     for a in range(grp.order):
-        for b in range(grp.order):
-            if units[grp.table[a][b]] != units[a] * units[b] % p:
+        for s in gens:
+            if units[grp.table[a][s]] != units[a] * units[s] % p:
                 raise OracleError("residue map is not a homomorphism")
     roots = phi_roots_mod_p(n, p)
     if not 0 <= prime_choice < len(roots):
@@ -404,34 +437,17 @@ def filtration_from_monogenic(order: MonogenicOrder, prime_choice: int = 0) -> R
     with :func:`tame_character_from_monogenic` at the given prime choice.
     The output passes full ramification validation.
     """
-    grp = order.group
-    e = order.degree
-    depths = {}
-    for i, g in enumerate(order.galois):
-        if i == 0:
-            continue
-        diff = list(g)
-        if len(diff) < 2:
-            diff = diff + [0] * (2 - len(diff))
-        diff[1] -= 1
-        v = valuation_monogenic(order, diff)
-        if v is math.inf or v < 1:
-            raise OracleError("automorphism does not move the uniformizer properly")
-        depths[i] = v
-    filtration = []
-    i = 0
-    while True:
-        members = [0] + [g for g, v in depths.items() if v >= i + 1]
-        if len(members) == 1 and i > 0:
-            break
-        filtration.append(sorted(members))
-        if len(members) == 1:
-            break
-        i += 1
+    depths = [valuation_monogenic(order, [g[0], g[1] - 1, *g[2:]]) for g in order.galois[1:]]
+    if not all(1 <= v < math.inf for v in depths):
+        raise OracleError("automorphism does not move the uniformizer properly")
+    # Gamma_0 = Gamma (every depth is at least 1), ..., Gamma_(max depth - 1)
+    filtration = [
+        [0] + [s for s, v in enumerate(depths, 1) if v > i] for i in range(max(depths, default=1))
+    ]
     wild = len(filtration[1]) if len(filtration) > 1 else 1
     n = len(filtration[0]) // wild
     tame = None
     if n > 1:
         tc = tame_character_from_monogenic(order, prime_choice)
         tame = (tc.generator, tc.exponent)
-    return build_ramification(grp, filtration, order.p, tame)
+    return build_ramification(order.group, filtration, order.p, tame)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refartin._linalg import bareiss_det
-from refartin._poly import padd, pcompose, pcompose_mod, pdivmod, pmod, pmul, ptrim
+from refartin._poly import padd, pcompose, pdivmod, pmod, pmul, ptrim
 from refartin.cyclotomic import closure, is_prime
 from refartin.grouptheory import cyclic_group
 from refartin.oracle import build_monogenic_order
@@ -66,10 +66,9 @@ def test_integer_division_by_monic_stays_integer(a, b, f_low):
     assert all(type(c) is int for c in q + r)
     assert padd(pmul(q, f), r) == ptrim(a) and len(r) < len(f)
     assert (q, r) == pdivmod(frac(a), frac(f))
-    comp = pcompose_mod(a, b, f)
+    comp = pmod(pcompose(a, b), f)
     assert all(type(c) is int for c in comp)
-    assert comp == pcompose_mod(frac(a), frac(b), frac(f))
-    assert comp == pmod(pcompose(a, b), f)
+    assert comp == pmod(pcompose(frac(a), frac(b)), frac(f))
 
 
 @given(int_coeffs, st.integers(-9, 9).filter(lambda c: c not in (0, 1)), int_coeffs)

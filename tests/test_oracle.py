@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_reference import presultant, val_p
 from refartin.conductor import conductor, qp_irreducibles_cyclic, transport_to_cyclic
 from refartin.fixtures import (
     cyclotomic_tower_data,
@@ -10,10 +13,10 @@ from refartin.fixtures import (
     quad_order,
     real_cubic_order7,
 )
-from refartin.grouptheory import standard_characters
+from refartin.grouptheory import generators, standard_characters
 import refartin.oracle as oracle
 from refartin._linalg import bareiss_det
-from refartin._poly import pmod, presultant, ptrim
+from refartin._poly import pcompose, pmod, ptrim
 from refartin.oracle import (
     OracleError,
     TameModel,
@@ -69,6 +72,28 @@ def test_monogenic_validation():
         build_monogenic_order(2, [-2, 0, 1], [[0, 1], [1, 1]])
     with pytest.raises(OracleError, match="not prime"):
         build_monogenic_order(4, [-4, 0, 1], [[0, 1], [0, -1]])
+    with pytest.raises(OracleError, match="not distinct"):
+        build_monogenic_order(2, [-2, 0, 1], [[0, 1], [0, 1]])
+    with pytest.raises(OracleError, match="the first Galois map must be the identity"):
+        build_monogenic_order(2, [-2, 0, 1], [[0, -1], [0, 1]])
+
+
+TOWERS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1)]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [quad_order(), real_cubic_order7()] + [cyclotomic_tower_order(p, k) for p, k in TOWERS],
+    ids=["quad", "cubic7"] + [f"phi{p**k}" for p, k in TOWERS],
+)
+def test_galois_table_is_composition(order):
+    """table[a][b] is the map x -> g_b(g_a(x)), composed independently over
+    Z[x] and reduced mod f."""
+    index = {g: i for i, g in enumerate(order.galois)}
+    for a, ga in enumerate(order.galois):
+        for b, gb in enumerate(order.galois):
+            comp = pmod(pcompose(gb, ga), order.f)
+            assert order.group.table[a][b] == index[comp + (0,) * (order.degree - len(comp))]
 
 
 def test_quad_order_clin_values():
@@ -95,6 +120,21 @@ def test_monogenic_representation_validation():
         oracle_monogenic_clin(o, [[[1]], [[2]]])
 
 
+@pytest.mark.parametrize("p, k, other", [(2, 3, 3), (5, 1, 2)], ids=["phi8", "phi5"])
+def test_representation_check_reaches_every_element(p, k, other):
+    """The representation is checked on generators only, yet a wrong matrix
+    for an element that is not a generator is refused.  On phi8 (C2 x C2)
+    that element is the product of the two generators; on phi5 (C4) it is
+    not a product of two generators."""
+    order = cyclotomic_tower_order(p, k)
+    gens = generators(order.group.table)
+    assert other not in gens
+    action = regular_action(order.group)
+    action[other] = action[gens[0]]
+    with pytest.raises(OracleError, match="representation"):
+        oracle_monogenic_clin(order, action)
+
+
 def test_rank_zero_module_has_zero_clin():
     assert TameModel(5).clin([]) == 0
     assert oracle_tame_clin(1, []) == 0
@@ -118,14 +158,17 @@ def test_norm_determinant_is_the_norm_of_the_O_L_determinant(monkeypatch, order)
         captured.append((mat, bareiss_det(mat, step, one)))
         return captured[-1][1]
 
-    monkeypatch.setattr(oracle, "bareiss_det", spy)
     e, g = order.degree, order.group.order
     modules = [regular_action(order.group), [[[1]]] * g]
     if g == 2:
         modules.append([[[1]], [[-1]]])
     f = tuple(Fraction(c) for c in order.f)
     for action in modules:
-        clin = oracle_monogenic_clin(order, action)
+        # valuation_monogenic below takes a determinant too: spy on the
+        # oracle's only
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "bareiss_det", spy)
+            clin = oracle_monogenic_clin(order, action)
         (rows, det_z), = captured
         captured.clear()
         # rows k e (b = 0) of the norm matrix hold the kernel vector v_k itself
@@ -146,11 +189,35 @@ def test_valuation_examples():
     assert valuation_monogenic(o, [2]) == 2
     assert valuation_monogenic(o, [1, 1]) == 0  # norm(1 + sqrt2) = -1
     assert valuation_monogenic(o, [0]) is math.inf
+    assert valuation_monogenic(o, [Fraction(1, 2)]) == -2
+    assert valuation_monogenic(o, [-2, 1, 1]) == 1  # f + x
+
+
+VALUATION_TOWERS = [(2, 2), (2, 3), (3, 2), (5, 1), (7, 1)]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [quad_order(), real_cubic_order7()] + [cyclotomic_tower_order(p, k) for p, k in VALUATION_TOWERS],
+    ids=["quad", "cubic7"] + [f"phi{p**k}" for p, k in VALUATION_TOWERS],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_valuation_matches_the_reference_resultant(order, data):
+    """nu_L(y) = nu_p(Res(f, y)) for integer and rational y of length up to
+    2 deg f, the resultant taken by the reference Euclidean kernel over Q."""
+    p, e = order.p, order.degree
+    coeff = st.one_of(st.integers(-60, 60), st.fractions(-60, 60, max_denominator=2 * p * p))
+    y = data.draw(st.lists(coeff, max_size=2 * e))
+    res = presultant(tuple(Fraction(c) for c in order.f), tuple(Fraction(c) for c in y))
+    if res:
+        assert valuation_monogenic(order, y) == val_p(res, p)
+    else:
+        assert valuation_monogenic(order, y) is math.inf
 
 
 def test_resultants_match_sympy():
     sympy = pytest.importorskip("sympy")
-    from refartin._poly import presultant
 
     x = sympy.symbols("x")
     cases = [

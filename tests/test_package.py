@@ -107,7 +107,7 @@ def test_records_compare_hash_and_copy_as_before():
         (data.gamma, {"classes": ()}, (data.gamma.table,)),
         (sub, {"group": data.gamma}, (sub.parent, sub.members)),
         (data, {"phi_vertices": (), "subgroups": ()}, tuple(data)[:5]),
-        (order, {"group": data.gamma}, (order.p, order.f, order.galois)),
+        (order, {"group": data.gamma, "powers": ()}, (order.p, order.f, order.galois)),
     ]:
         other = record._replace(**derived)
         assert other == record and not other != record and hash(other) == hash(key)
@@ -117,5 +117,7 @@ def test_records_compare_hash_and_copy_as_before():
             record.p = 2
     assert data != data._replace(tame_exponent=3)
     assert "subgroups" not in repr(data) and repr(data).startswith("RamificationData(gamma=")
+    assert repr(order) == ("MonogenicOrder(p=2, f=(-2, 0, 1), galois=((0, 1), (0, -1)), "
+                           "group=FiniteGroup(order=2))")
     z = make_root(8, 1) + from_rational(1)
     assert hash(z) == hash((z.conductor, z.num, z.den)) and copy.copy(z) == z
