@@ -1,11 +1,11 @@
 """Exact linear algebra kernels: integer lattice kernels, field elimination
-and one fraction-free determinant.
+and one valuation of a determinant.
 
 Integer routines use plain Python ints (arbitrary precision); field routines
 work generically over any exact field type with arithmetic dunders and
-truthiness (Fraction, Cyclotomic).  ``bareiss_det`` works over any integral
-domain whose caller supplies the exact cross-multiply-and-divide step: Z for
-the monogenic oracle, Q(zeta_n)[pi] for the tame one.
+truthiness (Fraction, Cyclotomic).  ``valuation_det`` works over any discrete
+valuation ring whose caller supplies its operations modulo a power of the
+uniformizer: Z_p for the monogenic oracle, Q(zeta_n)[[pi]] for the tame one.
 """
 
 from __future__ import annotations
@@ -52,26 +52,32 @@ def field_kernel(rows: list[list], one) -> list[list]:
     """Basis of the right kernel of a matrix over an exact field.
 
     ``rows`` is modified; entries must support + - * / and truthiness.
-    ``one`` is the field's multiplicative identity.
+    ``one`` is the field's multiplicative identity.  The basis is read off
+    the reduced row echelon form, which is unique; pivot rows are kept
+    unnormalized, and a pivot is inverted only when a column or a basis
+    entry needs it.
     """
     zero = one * 0
     if not rows:
         return []
     ncols = len(rows[0])
     pivots: list[int] = []
+    inverses: list = []
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow, inv = rows[r], None
         for i in range(len(rows)):
             if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                if inv is None:
+                    inv = one / prow[c]
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
         pivots.append(c)
+        inverses.append(inv)
         r += 1
         if r == len(rows):
             break
@@ -81,34 +87,50 @@ def field_kernel(rows: list[list], one) -> list[list]:
         v = [zero] * ncols
         v[fc] = one
         for pr, pc in enumerate(pivots):
-            v[pc] = -rows[pr][fc]
+            if rows[pr][fc]:
+                if inverses[pr] is None:
+                    inverses[pr] = one / rows[pr][pc]
+                v[pc] = -rows[pr][fc] * inverses[pr]
         basis.append(v)
     return basis
 
 
-def bareiss_det(mat: Sequence[Sequence], step, one):
-    """Determinant of a square matrix over an integral domain, up to sign.
+def valuation_det(mat: Sequence[Sequence], bound: int, low, clear) -> int | None:
+    """nu(det mat) over a discrete valuation ring, or None when det mat = 0.
 
-    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): each pass sets
-    a_ij = step(a_kk, a_kj, a_ik, a_ij, prev) = (a_kk a_ij - a_kj a_ik) / prev,
-    the division exact in the ring, where prev is the previous pivot and
-    ``one`` the ring's one; an entry must be falsy exactly when it is zero.
-    Rows are swapped to find a nonzero pivot and the swaps are not counted,
-    so the sign is lost: callers read only a valuation.  A 0x0 matrix gives
-    ``one``; a singular one gives the zero entry that left its pivot column
-    empty.
+    Elimination on full pivots of least valuation modulo pi^k, pi a
+    uniformizer, for k = 4, 8, 16, ...; ``mat`` is not modified.  The ring
+    comes as whole-row callbacks: ``low(row, k)`` is (v, j), the least
+    valuation v < k of an entry and a column j where it occurs, or None when
+    the row vanishes mod pi^k; ``clear(row, prow, j, v, k)`` is the row
+    minus a multiple of the pivot row prow, times at most a unit, mod pi^k,
+    with column j zero.  The steps are invertible over the ring, so the
+    Smith invariants d_i come out as min(d_i, k) (Cohen, GTM 138, 2.4), and
+    the pivot valuations sum to nu(det) unless the remaining block vanishes.
+    Then k doubles; past ``bound``, which nu(det) does not exceed when
+    det != 0, the matrix is singular.
     """
-    a = [list(row) for row in mat]
-    n = len(a)
-    prev = one
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            return a[k][k]
-        a[k], a[pivot] = a[pivot], a[k]
-        pk, rest = a[k][k], a[k][k + 1:]
-        for row in a[k + 1:]:
-            c = row[k]
-            row[k + 1:] = [step(pk, t, c, x, prev) for t, x in zip(rest, row[k + 1:])]
-        prev = pk
-    return prev
+    k = 4
+    while True:
+        rows, total, v = [list(row) for row in mat], 0, 0
+        while rows:
+            best = None
+            for i, row in enumerate(rows):
+                vj = low(row, k)
+                if vj is not None and (best is None or vj < best[1]):
+                    best = i, vj
+                    if vj[0] == v:  # no entry left has a smaller valuation
+                        break
+            if best is None:
+                break
+            i, (v, j) = best
+            prow = rows.pop(i)
+            total += v
+            for i, row in enumerate(rows):  # in place: a replaced row is freed at once
+                rows[i] = row = clear(row, prow, j, v, k) if row[j] else row
+                del row[j]
+        else:
+            return total
+        if k > bound:
+            return None
+        k *= 2

@@ -10,9 +10,9 @@ divides only by a leading coefficient other than 1, so dividing by a monic
 polynomial keeps integer input integer (``pdivmod``, ``pmod``,
 ``pexact_div``).  An integer divisor that is not monic raises
 ArithmeticError; a float never appears.  Nothing here inverts modulo a
-polynomial or takes a resultant: the oracles' determinants are fraction-free
-(``_linalg.bareiss_det``), and their valuations are read through
-``plow_order`` (tame) or as nu_p of an integer norm determinant (monogenic).
+polynomial, takes a resultant or forms a determinant: the oracles read
+valuations only, through ``plow_order`` in the tame ring Q(zeta_n)[[pi]]
+and through ``_linalg.valuation_det``.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ def pdivmod(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
         raise ArithmeticError("integer polynomial division needs a monic divisor")
     if not a:
         return (), ()
-    if not db and monic:  # by 1, as in each first Bareiss step
-        return ptrim(a), ()
     a = list(a)
     q = [a[0] * 0] * max(0, len(a) - db)
     while len(a) - 1 >= db and a:

@@ -4,26 +4,24 @@ Two exact models, independent of the character-pairing route:
 
 * an equal-characteristic tame model: K = Q(zeta_n)((t)), O_L = O_K[pi] with
   pi^n = t and sigma(pi) = zeta_n pi.  Since t = pi^n, O_L is simply the
-  polynomial ring Q(zeta_n)[pi] and valuations are read off exactly as the
-  lowest nonzero pi-power;
+  polynomial ring Q(zeta_n)[pi], and valuations are lowest pi-powers;
 
 * a mixed-characteristic monogenic model: the dense order Z[x]/(f) with f
-  monic and Eisenstein at p (so x is a uniformizer of a totally ramified
-  extension of Q_p), a Galois action given by integer polynomials, and
-  valuations computed through norms: nu_L(y) = nu_p(N_{L/Q_p} y), the
-  integer determinant of multiplication by y.  Inputs are reduced mod f once
-  (``_poly.pmod``); after that every computation in Z[x]/(f) runs on integer
-  lists through two operations: shifts by x (``_x_shifts``) and the powers
+  monic and Eisenstein at p, so x is a uniformizer of a totally ramified
+  extension of Q_p and nu_L(y) is read off the basis 1, x, ..., x^(e-1),
+  with a Galois action given by integer polynomials.  Inputs are reduced
+  mod f once (``_poly.pmod``); after that Z[x]/(f) is computed in on
+  integer lists through shifts by x (``_x_shifts``) and the powers
   g^0, ..., g^e of each Galois map, computed once per order.
 
 Both oracles compute c_lin(M) = nu_K(det phi) where phi is the multiplication
 map (M (x) O_L)^Gamma (x) O_L -> M (x) O_L; the invariant lattice is found by
 an exact kernel computation (field elimination in the tame model, saturated
-integer kernels via unimodular reduction in the monogenic model).  Both take
-det phi from the one fraction-free ``_linalg.bareiss_det``: over
-Q(zeta_n)[pi] in the tame model, and in the monogenic model over Z, as nu_p
-of the integer norm determinant (phi as a Z-linear map), since
-nu_p(N_{L/Q_p} y) = nu_L(y) for L/Q_p totally ramified.
+integer kernels via unimodular reduction in the monogenic model).  Both read
+nu(det phi), never det phi, from the one least-valuation elimination
+``_linalg.valuation_det``: over Q(zeta_n)[[pi]] modulo pi^k in the tame
+model, and over Z_p modulo p^k in the monogenic one, as nu_p of the integer
+norm determinant (phi as a Z-linear map): nu_p(N_{L/Q_p} y) = nu_L(y).
 
 The monogenic model also extracts lower-numbering ramification filtrations,
 i_Gamma(sigma) = nu_L(sigma(x) - x), and tame characters.  Matching the
@@ -40,8 +38,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._linalg import bareiss_det, field_kernel, integer_kernel
-from ._poly import pexact_div, plow_order, pmod, pmul, psub, ptrim
+from ._linalg import field_kernel, integer_kernel, valuation_det
+from ._poly import plow_order, pmod, pmul, psub, ptrim
 from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, multiplicative_order, roots_of_unity
 from .grouptheory import FiniteGroup, compared_fields, generators, group_from_table
 from .ramification import OracleError, RamificationData, build_ramification
@@ -74,19 +72,14 @@ class TameModel(_TameModelFields):
         sigma = diag(zeta^i_1, ..., zeta^i_d) on M, as vectors over the
         O_K-basis e_j (x) pi^a (j major, a minor)."""
         n, d = self.n, len(exponents)
-        dim = d * n
         roots = roots_of_unity(n)
-        rows = []
-        for j in range(d):
-            for a in range(n):
-                row = [ZERO] * dim
-                row[j * n + a] = roots[(exponents[j] + a) % n] - ONE
-                rows.append(row)
+        # diagonal: sigma - 1 on e_j (x) pi^a is zeta^(i_j + a) - 1
+        rows = [[ZERO] * (d * n) for _ in range(d * n)]
+        for r, row in enumerate(rows):
+            row[r] = roots[(exponents[r // n] + r) % n] - ONE
         basis = field_kernel(rows, ONE)
         if len(basis) != d:
-            raise OracleError(
-                f"invariant lattice rank {len(basis)} differs from module rank {d}"
-            )
+            raise OracleError(f"invariant lattice rank {len(basis)} differs from module rank {d}")
         return basis
 
     def clin(self, exponents: Sequence[int]) -> Fraction:
@@ -95,25 +88,44 @@ class TameModel(_TameModelFields):
         basis = self.invariant_basis(exponents)
         # phi matrix over O_L = Q(zeta_n)[pi]: column k lists the O_L
         # coordinates of the k-th invariant vector
-        mat = [
-            [ptrim([basis[k][j * n + a] for a in range(n)]) for k in range(d)]
-            for j in range(d)
-        ]
-        # (1,), the polynomial 1, is the one pdivmod divides by without a loop
-        det = bareiss_det(mat, _poly_step, (1,))
-        if not det:
+        mat = [[ptrim(basis[k][j * n:(j + 1) * n]) for k in range(d)] for j in range(d)]
+        # nu(det) <= deg det <= the sum of the rows' degrees
+        v = valuation_det(mat, sum(max(map(len, row)) for row in mat), _series_low, _series_clear)
+        if v is None:
             raise OracleError("base-change map is not injective")
-        return Fraction(plow_order(det), n)
+        return Fraction(v, n)
 
 
-def _poly_step(a: tuple, b: tuple, c: tuple, d: tuple, prev: tuple) -> tuple:
-    """The Bareiss step over a polynomial ring: (a d - b c) / prev."""
-    return pexact_div(psub(pmul(a, d), pmul(b, c)), prev)
+# Q(zeta_n)[[pi]] for valuation_det: the valuation is plow_order, division
+# by pi^v a shift, and a row is cleared as u row - c prow with the unit
+# u = prow[j] / pi^v, which needs no inverse
+def _series_low(row: list[tuple], k: int):
+    vj = min(((plow_order(x), j) for j, x in enumerate(row) if x), default=(k,))
+    return vj if vj[0] < k else None
 
 
-def _int_step(a: int, b: int, c: int, d: int, prev: int) -> int:
-    """The Bareiss step over Z: (a d - b c) / prev."""
-    return (a * d - b * c) // prev
+def _series_clear(row: list[tuple], prow: list[tuple], j: int, v: int, k: int) -> list[tuple]:
+    u, c = prow[j][v:], row[j][v:]
+    return [ptrim(psub(pmul(u, x), pmul(c, y))[:k]) for x, y in zip(row, prow)]
+
+
+def _nu_p_det(rows: list[list[int]], p: int) -> int | None:
+    """nu_p(det) of a square integer matrix, or None when det = 0, by
+    ``valuation_det`` over Z_p modulo p^k.  Hadamard's bound gives
+    nu_p(det) <= log_p prod |row| when det != 0."""
+
+    def low(row, k):
+        g = math.gcd(p**k, *row)
+        return None if g == p**k else (_val_p(g, p), next(j for j, x in enumerate(row) if x % (g * p)))
+
+    def clear(row, prow, j, v, k):
+        q = p**k
+        # c = -row[j] / prow[j] mod q, so that x + c y stays nonnegative
+        c = -(row[j] // p**v) * pow(prow[j] // p**v, -1, q) % q
+        return [(x + c * y) % q for x, y in zip(row, prow)]
+
+    bound = math.prod(sum(map(mul, r, r)) for r in rows).bit_length() // (2 * p.bit_length() - 2)
+    return valuation_det(rows, bound, low, clear)
 
 
 def oracle_tame_clin(n: int, exponents: Sequence[int]) -> Fraction:
@@ -158,9 +170,7 @@ class MonogenicOrder(_MonogenicOrderFields):
         e = len(f) - 1
         maps = [_reduce_int(g, f) for g in galois]
         if len(maps) != e:
-            raise OracleError(
-                f"a Galois order needs {e} automorphisms, got {len(maps)}"
-            )
+            raise OracleError(f"a Galois order needs {e} automorphisms, got {len(maps)}")
         if maps[0] != _reduce_int((0, 1), f):
             raise OracleError("the first Galois map must be the identity x -> x")
         if len(set(maps)) != e:
@@ -178,16 +188,10 @@ class MonogenicOrder(_MonogenicOrderFields):
         if any(any(_combine(f, pw)) for pw in powers):
             raise OracleError("a Galois map does not send x to a root of f")
         index = {g: i for i, g in enumerate(maps)}
-        table = []
-        for pw in powers:
-            row = []
-            for b in maps:
-                # (sigma_a o sigma_b)(x) = g_b(g_a(x)) = sum_k b_k g_a^k
-                comp = tuple(_combine(b, pw))
-                if comp not in index:
-                    raise OracleError("Galois maps do not close under composition")
-                row.append(index[comp])
-            table.append(row)
+        # (sigma_a o sigma_b)(x) = g_b(g_a(x)) = sum_k b_k g_a^k
+        table = [[index.get(tuple(_combine(b, pw))) for b in maps] for pw in powers]
+        if any(None in row for row in table):
+            raise OracleError("Galois maps do not close under composition")
         return tuple.__new__(cls, (p, f, tuple(maps), group_from_table(table), tuple(powers)))
 
     def __getnewargs__(self):
@@ -245,24 +249,23 @@ def build_monogenic_order(p: int, f: Sequence[int], galois: Sequence[Sequence[in
 
 
 def valuation_monogenic(order: MonogenicOrder, y: Sequence[int] | Sequence[Fraction]):
-    """nu_L(y) for y given as a polynomial in x: nu_p(N_{L/Q_p} y), the
-    integer determinant of multiplication by y on Z[x]/(f).
+    """nu_L(y) for y given as a polynomial in x; math.inf for y = 0.
 
-    A rational y is z/D with z integral, and nu_L(y) = nu_L(z) - e nu_p(D).
-    Returns math.inf for y = 0.  Valid because f is Eisenstein, so x is a
-    uniformizer of the single (totally ramified) place above p.
+    f is Eisenstein, so x is a uniformizer of the single (totally ramified)
+    place above p, and for z = sum z_i x^i integral and reduced mod f the
+    terms have the valuations e nu_p(z_i) + i, distinct mod e: nu_L(z) is
+    the least of them (Serre, Local Fields, I 6).  A rational y is z/D with
+    z integral, and nu_L(y) = nu_L(z) - e nu_p(D).
     """
+    p, e = order.p, order.degree
     den = math.lcm(*(c.denominator for c in y))
-    z = list(_reduce_int([c.numerator * (den // c.denominator) for c in y], order.f))
-    if not any(z):
-        return math.inf
-    det = bareiss_det(_x_shifts(z, order.f), _int_step, 1)
-    return _val_p(det, order.p) - order.degree * _val_p(den, order.p)
+    z = _reduce_int([c.numerator * (den // c.denominator) for c in y], order.f)
+    terms = [e * _val_p(c, p) + i for i, c in enumerate(z) if c]
+    return min(terms) - e * _val_p(den, p) if terms else math.inf
 
 
 def _val_p(q: int, p: int) -> int:
-    if q == 0:
-        raise ArithmeticError("valuation of zero")
+    """nu_p(q) for an integer q != 0."""
     v = 0
     while q % p == 0:
         q //= p
@@ -272,14 +275,8 @@ def _val_p(q: int, p: int) -> int:
 
 def regular_action(group: FiniteGroup) -> list[list[list[int]]]:
     """Permutation matrices of the left regular representation, one per element."""
-    m = group.order
-    out = []
-    for s in range(m):
-        mat = [[0] * m for _ in range(m)]
-        for t in range(m):
-            mat[group.table[s][t]][t] = 1
-        out.append(mat)
-    return out
+    m, table = group.order, group.table
+    return [[[int(table[s][t] == r) for t in range(m)] for r in range(m)] for s in range(m)]
 
 
 def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Sequence[int]]]) -> Fraction:
@@ -336,10 +333,10 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
     # row (k, b) lists the coordinates of x^b v_k on the Z-basis e_j x^a:
     # the transpose of phi's matrix, with the same determinant
     rows = [row for v in kernel for row in _x_shifts(list(v), order.f)]
-    det = bareiss_det(rows, _int_step, 1)
-    if not det:
+    v = _nu_p_det(rows, order.p)
+    if v is None:
         raise OracleError("base-change map is not injective")
-    return Fraction(_val_p(det, order.p), e)
+    return Fraction(v, e)
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -356,19 +353,6 @@ class TameCharacterData(NamedTuple):
     exponent: int  # Psi(generator) = zeta_n^exponent
     n: int  # tame degree
     root: int  # chosen root of Phi_n mod p (the prime of Z[zeta_n] used)
-
-
-def _residue_units(order: MonogenicOrder) -> list[int]:
-    """sigma(x)/x mod the maximal ideal, per group element: an element of
-    F_p^x, namely the linear coefficient of g_sigma reduced mod p."""
-    p = order.p
-    out = []
-    for g in order.galois:
-        u = (g[1] if len(g) > 1 else 0) % p
-        if u == 0:
-            raise OracleError("degenerate Galois map: sigma(x)/x is not a unit")
-        out.append(u)
-    return out
 
 
 def phi_roots_mod_p(n: int, p: int) -> list[int]:
@@ -401,15 +385,18 @@ def tame_character_from_monogenic(order: MonogenicOrder, prime_choice: int = 0) 
     is the ``prime_choice``-th root of Phi_n mod p.  Different choices give
     Galois-conjugate characters.
     """
-    units = _residue_units(order)
-    p = order.p
-    grp = order.group
-    wild = [i for i, u in enumerate(units) if u == 1]
-    n = grp.order // len(wild)
+    p, grp = order.p, order.group
+    # the tame quotient Gamma_0 / Gamma_1: Gamma_1 is the p-Sylow subgroup of Gamma_0 = Gamma
+    n = grp.order
+    while n % p == 0:
+        n //= p
     if n == 1:
         raise OracleError("the extension has trivial tame quotient")
-    if math.gcd(p, n) != 1:
-        raise OracleError(f"tame degree {n} not coprime to p={p}")
+    # sigma(x)/x mod the maximal ideal: the linear coefficient of g mod p
+    # (deg f = |Gamma| > 1, so g has one)
+    units = [g[1] % p for g in order.galois]
+    if not all(units):
+        raise OracleError("degenerate Galois map: sigma(x)/x is not a unit")
     # on generators only, as for the representation in oracle_monogenic_clin
     gens = generators(grp.table)
     for a in range(grp.order):
@@ -418,13 +405,9 @@ def tame_character_from_monogenic(order: MonogenicOrder, prime_choice: int = 0) 
                 raise OracleError("residue map is not a homomorphism")
     roots = phi_roots_mod_p(n, p)
     if not 0 <= prime_choice < len(roots):
-        raise OracleError(
-            f"prime_choice {prime_choice} out of range: {len(roots)} primes above {p}"
-        )
+        raise OracleError(f"prime_choice {prime_choice} out of range: {len(roots)} primes above {p}")
     root = roots[prime_choice]
-    gen = min(
-        g for g in range(grp.order) if multiplicative_order(units[g], p) == n
-    )
+    gen = min(g for g in range(grp.order) if multiplicative_order(units[g], p) == n)
     exponent = next(c for c in range(n) if pow(root, c, p) == units[gen])
     return TameCharacterData(gen, exponent, n, root)
 
@@ -441,13 +424,8 @@ def filtration_from_monogenic(order: MonogenicOrder, prime_choice: int = 0) -> R
     if not all(1 <= v < math.inf for v in depths):
         raise OracleError("automorphism does not move the uniformizer properly")
     # Gamma_0 = Gamma (every depth is at least 1), ..., Gamma_(max depth - 1)
-    filtration = [
-        [0] + [s for s, v in enumerate(depths, 1) if v > i] for i in range(max(depths, default=1))
-    ]
+    filtration = [[0] + [s for s, v in enumerate(depths, 1) if v > i] for i in range(max(depths, default=1))]
     wild = len(filtration[1]) if len(filtration) > 1 else 1
     n = len(filtration[0]) // wild
-    tame = None
-    if n > 1:
-        tc = tame_character_from_monogenic(order, prime_choice)
-        tame = (tc.generator, tc.exponent)
+    tame = tame_character_from_monogenic(order, prime_choice)[:2] if n > 1 else None
     return build_ramification(order.group, filtration, order.p, tame)

@@ -1,11 +1,18 @@
-"""Reference valuation kernel over Q, for differential tests of the
-monogenic oracle.
+"""Reference kernels for differential tests of the lattice oracles.
 
-This is the earlier valuation kernel of ``refartin.oracle``: nu_L(y) was read
-as nu_p(Res(f, y)), with the resultant taken by the Euclidean remainder
-sequence on ``Fraction`` coefficients and nu_p taken of a rational.  The
-oracle now reads nu_L(y) as nu_p of the integer norm determinant of y; this
-module is kept only as an independent oracle for it.
+These are earlier kernels of ``refartin.oracle`` and ``refartin._linalg``,
+kept only as independent oracles for the current ones:
+
+* ``presultant`` and ``val_p``: nu_L(y) was read as nu_p(Res(f, y)), with
+  the resultant taken by the Euclidean remainder sequence on ``Fraction``
+  coefficients and nu_p taken of a rational.  The oracle now reads nu_L(y)
+  off the coefficients of y on the basis 1, x, ..., x^(e-1).
+* ``bareiss_det`` with ``int_step`` and ``poly_step``: both oracles took the
+  full determinant by fraction-free elimination.  They now read its
+  valuation by least-valuation elimination modulo a power of a uniformizer
+  (``_linalg.valuation_det``).
+* ``field_kernel``: the kernel basis with every pivot row normalized at
+  once; the package's version inverts a pivot only when it must.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from refartin._poly import pdeg, pmod, ptrim
+from refartin._poly import pdeg, pdivmod, pmod, pmul, psub, ptrim
 
 
 def presultant(a: Sequence, b: Sequence) -> Fraction:
@@ -46,3 +53,77 @@ def val_p(q: Fraction, p: int) -> int:
         den //= p
         v -= 1
     return v
+
+
+def bareiss_det(mat: Sequence[Sequence], step, one):
+    """Determinant of a square matrix over an integral domain, up to sign.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): each pass sets
+    a_ij = step(a_kk, a_kj, a_ik, a_ij, prev) = (a_kk a_ij - a_kj a_ik) / prev,
+    the division exact in the ring, where prev is the previous pivot and
+    ``one`` the ring's one; an entry must be falsy exactly when it is zero.
+    Rows are swapped to find a nonzero pivot and the swaps are not counted,
+    so the sign is lost.  A 0x0 matrix gives ``one``; a singular one gives
+    the zero entry that left its pivot column empty.
+    """
+    a = [list(row) for row in mat]
+    n = len(a)
+    prev = one
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return a[k][k]
+        a[k], a[pivot] = a[pivot], a[k]
+        pk, rest = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            c = row[k]
+            row[k + 1:] = [step(pk, t, c, x, prev) for t, x in zip(rest, row[k + 1:])]
+        prev = pk
+    return prev
+
+
+def int_step(a: int, b: int, c: int, d: int, prev: int) -> int:
+    """The Bareiss step over Z: (a d - b c) / prev."""
+    return (a * d - b * c) // prev
+
+
+def poly_step(a: tuple, b: tuple, c: tuple, d: tuple, prev: tuple) -> tuple:
+    """The Bareiss step over a polynomial ring: (a d - b c) / prev."""
+    q, r = pdivmod(psub(pmul(a, d), pmul(b, c)), prev)
+    assert not r, "the Bareiss division is exact"
+    return q
+
+
+def field_kernel(rows: list[list], one) -> list[list]:
+    """Basis of the right kernel of a matrix over an exact field, every
+    pivot row normalized as soon as it is chosen."""
+    zero = one * 0
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = one / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [zero] * ncols
+        v[fc] = one
+        for pr, pc in enumerate(pivots):
+            v[pc] = -rows[pr][fc]
+        basis.append(v)
+    return basis

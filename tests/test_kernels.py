@@ -1,5 +1,5 @@
-"""The shared exact kernels: primality, closure, integer polynomials and the
-fraction-free determinant."""
+"""The shared exact kernels: primality, closure, integer polynomials, field
+elimination, and the reference fraction-free determinant."""
 
 from fractions import Fraction
 
@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from refartin._linalg import bareiss_det
+import oracle_reference
+from oracle_reference import bareiss_det, int_step
+from refartin._linalg import field_kernel
 from refartin._poly import padd, pcompose, pdivmod, pmod, pmul, ptrim
-from refartin.cyclotomic import closure, is_prime
+from refartin.cyclotomic import ONE, closure, from_terms, is_prime
 from refartin.grouptheory import cyclic_group
 from refartin.oracle import build_monogenic_order
 from refartin.ramification import build_ramification
@@ -91,6 +93,34 @@ square_int_matrices = st.integers(0, 5).flatmap(
 @example([[0, 1, 2], [0, 3, 4], [0, 5, 6]])  # a zero column
 def test_bareiss_det_over_z_matches_sympy_up_to_sign(mat):
     sympy = pytest.importorskip("sympy")
-    det = bareiss_det(mat, lambda a, b, c, d, prev: (a * d - b * c) // prev, 1)
+    det = bareiss_det(mat, int_step, 1)
     assert type(det) is int
     assert abs(det) == abs(sympy.Matrix(len(mat), len(mat), sum(mat, [])).det())
+
+
+fractions = st.fractions(-4, 4, max_denominator=3)
+cyclotomics = st.builds(
+    from_terms,
+    st.sampled_from([3, 4, 5]),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(-2, 2)), max_size=2),
+)
+
+
+@st.composite
+def matrices(draw, entries):
+    m, n = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    # zeros often enough for rank deficiency and empty pivot columns
+    entry = st.one_of(st.just(0), entries)
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(fractions).map(lambda m: (m, Fraction(1))),
+                 matrices(cyclotomics).map(lambda m: ([[ONE * x for x in r] for r in m], ONE))))
+@example(([[0, 2, 0], [0, 0, 3]], Fraction(1)))  # no pivot needs an inverse
+@example(([[1, 2, 3], [2, 4, 7]], Fraction(1)))  # a pivot column to clear
+def test_field_kernel_matches_the_eager_reference(case):
+    """Inverting a pivot only when a column or a basis entry needs it gives
+    exactly the basis of normalizing every pivot row at once."""
+    mat, one = case
+    assert field_kernel([r[:] for r in mat], one) == oracle_reference.field_kernel([r[:] for r in mat], one)

@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import presultant, val_p
+from oracle_reference import bareiss_det, int_step, poly_step, presultant, val_p
 from refartin.conductor import conductor, qp_irreducibles_cyclic, transport_to_cyclic
 from refartin.fixtures import (
     cyclotomic_tower_data,
@@ -15,7 +15,7 @@ from refartin.fixtures import (
 )
 from refartin.grouptheory import generators, standard_characters
 import refartin.oracle as oracle
-from refartin._linalg import bareiss_det
+from refartin._linalg import valuation_det
 from refartin._poly import pcompose, pmod, ptrim
 from refartin.oracle import (
     OracleError,
@@ -150,34 +150,60 @@ def test_rank_zero_module_has_zero_clin():
 )
 def test_norm_determinant_is_the_norm_of_the_O_L_determinant(monkeypatch, order):
     """|det_Z phi| = |N_{L/Q}(det_{O_L} phi)| = |Res(f, det_{O_L} phi)|, with
+    both determinants taken by the reference Bareiss elimination and
     det_{O_L} phi taken independently over Q[x] and reduced mod f; the
     oracle's value is its nu_L over e."""
     captured = []
 
-    def spy(mat, step, one):
-        captured.append((mat, bareiss_det(mat, step, one)))
+    def spy(mat, bound, low, clear):
+        captured.append((mat, valuation_det(mat, bound, low, clear)))
         return captured[-1][1]
 
+    monkeypatch.setattr(oracle, "valuation_det", spy)
     e, g = order.degree, order.group.order
     modules = [regular_action(order.group), [[[1]]] * g]
     if g == 2:
         modules.append([[[1]], [[-1]]])
     f = tuple(Fraction(c) for c in order.f)
     for action in modules:
-        # valuation_monogenic below takes a determinant too: spy on the
-        # oracle's only
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "bareiss_det", spy)
-            clin = oracle_monogenic_clin(order, action)
-        (rows, det_z), = captured
+        clin = oracle_monogenic_clin(order, action)
+        (rows, v), = captured
         captured.clear()
+        det_z = bareiss_det(rows, int_step, 1)
         # rows k e (b = 0) of the norm matrix hold the kernel vector v_k itself
         d = len(rows) // e
         mat = [[ptrim([Fraction(c) for c in rows[k * e][j * e:(j + 1) * e]])
                 for k in range(d)] for j in range(d)]
-        det_ol = pmod(bareiss_det(mat, oracle._poly_step, (Fraction(1),)), f)
+        det_ol = pmod(bareiss_det(mat, poly_step, (Fraction(1),)), f)
         assert abs(det_z) == abs(presultant(f, det_ol)) != 0
-        assert clin == Fraction(valuation_monogenic(order, det_ol), e)
+        assert v == val_p(det_z, order.p)
+        assert clin == Fraction(v, e) == Fraction(valuation_monogenic(order, det_ol), e)
+
+
+@st.composite
+def scaled_matrices(draw):
+    """(p, M) for p in {2, 3, 5} and a square integer M whose entries carry
+    powers of p up to p^17, singular about half the time from size 2 on."""
+    p, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 6))
+    entry = st.tuples(st.integers(-9, 9), st.sampled_from([0, 0, 0, 1, 2, 5, 9, 17]))
+    mat = [[c * p**a for c, a in draw(st.lists(entry, min_size=n, max_size=n))] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # the last row a combination of the first two
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+    return p, mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_matrices())
+@example((2, [[2**40, 3 * 2**40], [1, 5]]))  # nu_2(det) = 41: p^k doubles up to 2^64
+@example((3, [[3, 6], [1, 2]]))  # singular at every precision
+def test_nu_p_det_matches_the_reference_determinant(case):
+    """nu_p(det) modulo p^k against the reference Bareiss determinant over Z;
+    a singular matrix gives None."""
+    p, mat = case
+    det = bareiss_det(mat, int_step, 1)
+    assert oracle._nu_p_det(mat, p) == (val_p(det, p) if det else None)
 
 
 # -- valuations ------------------------------------------------------------------------
@@ -304,6 +330,14 @@ def test_phi_roots_mod_p_match_the_scan():
 def test_tame_character_errors():
     with pytest.raises(OracleError, match="trivial tame"):
         tame_character_from_monogenic(quad_order())
+
+
+def test_degree_one_order_has_trivial_tame_quotient():
+    """x = p in a degree-1 order, so sigma(x)/x is no residue unit; the
+    trivial tame quotient is decided before any unit is read."""
+    order = build_monogenic_order(3, [-3, 1], [[0, 1]])
+    with pytest.raises(OracleError, match="the extension has trivial tame quotient"):
+        tame_character_from_monogenic(order)
 
 
 def test_prime_choice_invariance():
