@@ -1,11 +1,9 @@
-"""Exact linear algebra kernels: integer lattice kernels, field elimination
-and one valuation of a determinant.
-
-Integer routines use plain Python ints (arbitrary precision); field routines
-work generically over any exact field type with arithmetic dunders and
-truthiness (Fraction, Cyclotomic).  ``valuation_det`` works over any discrete
-valuation ring whose caller supplies its operations modulo a power of the
-uniformizer: Z_p for the monogenic oracle, Q(zeta_n)[[pi]] for the tame one.
+"""Exact linear algebra kernels: integer lattice kernels on plain Python
+ints, and one valuation of a determinant over any discrete valuation ring
+whose caller encodes the rows and their operations modulo a power of the
+uniformizer: Z_p with a row packed into one int for the monogenic oracle,
+Q(zeta_n)[[pi]] with list rows for the tame one.  There are no field
+routines: the tame oracle reads its invariant lattice off a diagonal.
 """
 
 from __future__ import annotations
@@ -48,75 +46,30 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
     return [tuple(r[m:]) for r in work[pivot_row:]]
 
 
-def field_kernel(rows: list[list], one) -> list[list]:
-    """Basis of the right kernel of a matrix over an exact field.
-
-    ``rows`` is modified; entries must support + - * / and truthiness.
-    ``one`` is the field's multiplicative identity.  The basis is read off
-    the reduced row echelon form, which is unique; pivot rows are kept
-    unnormalized, and a pivot is inverted only when a column or a basis
-    entry needs it.
-    """
-    zero = one * 0
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    inverses: list = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow, inv = rows[r], None
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                if inv is None:
-                    inv = one / prow[c]
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        inverses.append(inv)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for pr, pc in enumerate(pivots):
-            if rows[pr][fc]:
-                if inverses[pr] is None:
-                    inverses[pr] = one / rows[pr][pc]
-                v[pc] = -rows[pr][fc] * inverses[pr]
-        basis.append(v)
-    return basis
-
-
-def valuation_det(mat: Sequence[Sequence], bound: int, low, clear) -> int | None:
+def valuation_det(mat: Sequence[Sequence], bound: int, ring) -> int | None:
     """nu(det mat) over a discrete valuation ring, or None when det mat = 0.
 
     Elimination on full pivots of least valuation modulo pi^k, pi a
-    uniformizer, for k = 4, 8, 16, ...; ``mat`` is not modified.  The ring
-    comes as whole-row callbacks: ``low(row, k)`` is (v, j), the least
-    valuation v < k of an entry and a column j where it occurs, or None when
-    the row vanishes mod pi^k; ``clear(row, prow, j, v, k)`` is the row
-    minus a multiple of the pivot row prow, times at most a unit, mod pi^k,
-    with column j zero.  The steps are invertible over the ring, so the
-    Smith invariants d_i come out as min(d_i, k) (Cohen, GTM 138, 2.4), and
-    the pivot valuations sum to nu(det) unless the remaining block vanishes.
-    Then k doubles; past ``bound``, which nu(det) does not exceed when
-    det != 0, the matrix is singular.
+    uniformizer, for k = 4, 8, 16, ...; ``mat`` is not modified.  Rows are
+    opaque here: ``ring(mat, k)`` is (rows, low, pivot), the rows encoded mod
+    pi^k; ``low(row)`` is (v, j), the least valuation v < k of an entry and
+    a column j where it occurs, or None when the row vanishes mod pi^k;
+    ``pivot(prow, v, j)`` is the function clearing a row against the pivot
+    row: the row minus a multiple of prow, times at most a unit, with column
+    j zero mod pi^k (unchanged if it was); cleared columns stay in place.
+    The steps are invertible over the ring, so the Smith invariants d_i come
+    out as min(d_i, k) (Cohen, GTM 138, 2.4), and the pivot valuations sum to
+    nu(det) unless the remaining block vanishes.  Then k doubles; past
+    ``bound``, which nu(det) does not exceed when det != 0, the matrix is
+    singular.
     """
     k = 4
     while True:
-        rows, total, v = [list(row) for row in mat], 0, 0
+        (rows, low, pivot), total, v = ring(mat, k), 0, 0
         while rows:
             best = None
             for i, row in enumerate(rows):
-                vj = low(row, k)
+                vj = low(row)
                 if vj is not None and (best is None or vj < best[1]):
                     best = i, vj
                     if vj[0] == v:  # no entry left has a smaller valuation
@@ -124,11 +77,10 @@ def valuation_det(mat: Sequence[Sequence], bound: int, low, clear) -> int | None
             if best is None:
                 break
             i, (v, j) = best
-            prow = rows.pop(i)
+            clear = pivot(rows.pop(i), v, j)
             total += v
             for i, row in enumerate(rows):  # in place: a replaced row is freed at once
-                rows[i] = row = clear(row, prow, j, v, k) if row[j] else row
-                del row[j]
+                rows[i] = clear(row)
         else:
             return total
         if k > bound:

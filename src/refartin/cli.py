@@ -86,9 +86,9 @@ EXIT_COMPUTE_ERROR = 3
 
 FORMAT_VERSION = 1
 
-# oracle tame admission limits: the invariant kernel is taken on a square
-# matrix of side N times the number of exponents; the largest admitted job,
-# N = 200 with 8 exponents, takes about 1 s (2-vCPU VM, CPython 3.11)
+# oracle tame admission limits: the invariant lattice is read off a diagonal
+# of side N times the number of exponents; the largest admitted job, N = 200
+# with 8 exponents, takes about 0.1 s wall (2-vCPU VM, CPython 3.11)
 TAME_MAX_DEGREE = 200
 TAME_MAX_EXPONENTS = 8
 

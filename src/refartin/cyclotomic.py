@@ -485,9 +485,9 @@ def make_root(n: int, k: int) -> Cyclotomic:
 def roots_of_unity(n: int) -> tuple[Cyclotomic, ...]:
     """(zeta_n^0, ..., zeta_n^(n-1)): zeta_n^k is entry k mod n.
 
-    Cached for the 64 most recently used n.  The sweep reads n <= 24, one
-    ``verify_suite`` run reads its tame order and one tame oracle call its
-    degree, so no workload evicts a table it still reads.
+    Cached for the 64 most recently used n.  The sweep reads n <= 24 and one
+    ``verify_suite`` run reads its tame order, so no workload evicts a table
+    it still reads.
     """
     return tuple([make_root(n, k) for k in range(n)])
 

@@ -15,13 +15,14 @@ Two exact models, independent of the character-pairing route:
   g^0, ..., g^e of each Galois map, computed once per order.
 
 Both oracles compute c_lin(M) = nu_K(det phi) where phi is the multiplication
-map (M (x) O_L)^Gamma (x) O_L -> M (x) O_L; the invariant lattice is found by
-an exact kernel computation (field elimination in the tame model, saturated
-integer kernels via unimodular reduction in the monogenic model).  Both read
+map (M (x) O_L)^Gamma (x) O_L -> M (x) O_L.  The invariant lattice is read
+off the diagonal of sigma - 1 in the tame model and found as a saturated
+integer kernel, by unimodular reduction, in the monogenic one.  Both read
 nu(det phi), never det phi, from the one least-valuation elimination
 ``_linalg.valuation_det``: over Q(zeta_n)[[pi]] modulo pi^k in the tame
-model, and over Z_p modulo p^k in the monogenic one, as nu_p of the integer
-norm determinant (phi as a Z-linear map): nu_p(N_{L/Q_p} y) = nu_L(y).
+model, and over Z_p modulo p^k, each row packed into one int, in the
+monogenic one, as nu_p of the integer norm determinant (phi as a Z-linear
+map): nu_p(N_{L/Q_p} y) = nu_L(y).
 
 The monogenic model also extracts lower-numbering ramification filtrations,
 i_Gamma(sigma) = nu_L(sigma(x) - x), and tame characters.  Matching the
@@ -34,13 +35,15 @@ different choices yield Galois-conjugate tame characters.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._linalg import field_kernel, integer_kernel, valuation_det
+from ._linalg import integer_kernel, valuation_det
 from ._poly import plow_order, pmod, pmul, psub, ptrim
-from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, multiplicative_order, roots_of_unity
+from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, multiplicative_order
 from .grouptheory import FiniteGroup, compared_fields, generators, group_from_table
 from .ramification import OracleError, RamificationData, build_ramification
 
@@ -72,12 +75,10 @@ class TameModel(_TameModelFields):
         sigma = diag(zeta^i_1, ..., zeta^i_d) on M, as vectors over the
         O_K-basis e_j (x) pi^a (j major, a minor)."""
         n, d = self.n, len(exponents)
-        roots = roots_of_unity(n)
-        # diagonal: sigma - 1 on e_j (x) pi^a is zeta^(i_j + a) - 1
-        rows = [[ZERO] * (d * n) for _ in range(d * n)]
-        for r, row in enumerate(rows):
-            row[r] = roots[(exponents[r // n] + r) % n] - ONE
-        basis = field_kernel(rows, ONE)
+        # sigma - 1 is diagonal: zeta^(i_j + a) - 1 on e_j (x) pi^a, zero
+        # exactly when i_j + a = 0 mod n; the kernel is spanned by those e_r
+        basis = [[ONE if c == r else ZERO for c in range(d * n)]
+                 for r in range(d * n) if (exponents[r // n] + r) % n == 0]
         if len(basis) != d:
             raise OracleError(f"invariant lattice rank {len(basis)} differs from module rank {d}")
         return basis
@@ -90,42 +91,85 @@ class TameModel(_TameModelFields):
         # coordinates of the k-th invariant vector
         mat = [[ptrim(basis[k][j * n:(j + 1) * n]) for k in range(d)] for j in range(d)]
         # nu(det) <= deg det <= the sum of the rows' degrees
-        v = valuation_det(mat, sum(max(map(len, row)) for row in mat), _series_low, _series_clear)
+        v = valuation_det(mat, sum(max(map(len, row)) for row in mat), _series_ring)
         if v is None:
             raise OracleError("base-change map is not injective")
         return Fraction(v, n)
 
 
-# Q(zeta_n)[[pi]] for valuation_det: the valuation is plow_order, division
-# by pi^v a shift, and a row is cleared as u row - c prow with the unit
-# u = prow[j] / pi^v, which needs no inverse
-def _series_low(row: list[tuple], k: int):
-    vj = min(((plow_order(x), j) for j, x in enumerate(row) if x), default=(k,))
-    return vj if vj[0] < k else None
+# Q(zeta_n)[[pi]] for valuation_det: rows are lists of polynomials, the
+# valuation is plow_order, division by pi^v a shift, and a row is cleared
+# as u row - c prow with the unit u = prow[j] / pi^v, which needs no inverse
+def _series_ring(mat: Sequence[Sequence[tuple]], k: int):
+    def low(row):
+        vj = min(((plow_order(x), j) for j, x in enumerate(row) if x), default=(k,))
+        return vj if vj[0] < k else None
 
+    def pivot(prow, v, j):
+        u = prow[j][v:]
 
-def _series_clear(row: list[tuple], prow: list[tuple], j: int, v: int, k: int) -> list[tuple]:
-    u, c = prow[j][v:], row[j][v:]
-    return [ptrim(psub(pmul(u, x), pmul(c, y))[:k]) for x, y in zip(row, prow)]
+        def clear(row):
+            c = row[j][v:]
+            return [ptrim(psub(pmul(u, x), pmul(c, y))[:k]) for x, y in zip(row, prow)] if c else row
+
+        return clear
+
+    return [list(row) for row in mat], low, pivot
 
 
 def _nu_p_det(rows: list[list[int]], p: int) -> int | None:
     """nu_p(det) of a square integer matrix, or None when det = 0, by
     ``valuation_det`` over Z_p modulo p^k.  Hadamard's bound gives
     nu_p(det) <= log_p prod |row| when det != 0."""
-
-    def low(row, k):
-        g = math.gcd(p**k, *row)
-        return None if g == p**k else (_val_p(g, p), next(j for j, x in enumerate(row) if x % (g * p)))
-
-    def clear(row, prow, j, v, k):
-        q = p**k
-        # c = -row[j] / prow[j] mod q, so that x + c y stays nonnegative
-        c = -(row[j] // p**v) * pow(prow[j] // p**v, -1, q) % q
-        return [(x + c * y) % q for x, y in zip(row, prow)]
-
     bound = math.prod(sum(map(mul, r, r)) for r in rows).bit_length() // (2 * p.bit_length() - 2)
-    return valuation_det(rows, bound, low, clear)
+    return valuation_det(rows, bound, lambda mat, k: _packed_ring(mat, p, p**k))
+
+
+def _packed_ring(mat: Sequence[Sequence[int]], p: int, q: int):
+    """Z_p modulo q = p^k for valuation_det, each row packed into one int:
+    entry j, nonnegative, in the w-byte slot j (Kronecker substitution;
+    Harvey, J. Symb. Comput. 44, 2009).  Rows start reduced mod q, and a
+    clear adds c prow, c < q, with prow reduced mod q when chosen: a slot
+    grows by less than q^2 per clear, fewer than m times, and q + m q^2 <
+    2^(8 w), so nothing carries.  Slots are read unreduced: gcd(q, x) = p^v
+    and x mod p^(v+1) do not see multiples of q."""
+    m = len(mat)
+    w = 8 * -(-(q + m * q * q).bit_length() // 64)
+    size, bits = m * w, 8 * w
+    if w == 8 and sys.byteorder == "little":
+
+        def unpack(row):
+            return memoryview(row.to_bytes(size, "little")).cast("Q")
+
+        def pack(xs):
+            return int.from_bytes(array("Q", [x % q for x in xs]), "little")
+
+    else:
+
+        def unpack(row):
+            b = row.to_bytes(size, "little")
+            return [int.from_bytes(b[i:i + w], "little") for i in range(0, size, w)]
+
+        def pack(xs):
+            return int.from_bytes(b"".join((x % q).to_bytes(w, "little") for x in xs), "little")
+
+    def low(row):
+        xs = unpack(row)
+        g = math.gcd(q, *xs)
+        return None if g == q else (_val_p(g, p), next(j for j, x in enumerate(xs) if x % (g * p)))
+
+    def pivot(prow, v, j):
+        prow, pv, shift, mask = pack(unpack(prow)), p**v, j * bits, (1 << bits) - 1
+        u = pow((prow >> shift & mask) // pv, -1, q)
+
+        def clear(row):
+            # c = -row[j] / prow[j] mod q, so that the slots stay nonnegative
+            x = row >> shift & mask
+            return row + (-(x // pv) * u % q) * prow if x % q else row
+
+        return clear
+
+    return [pack(row) for row in mat], low, pivot
 
 
 def oracle_tame_clin(n: int, exponents: Sequence[int]) -> Fraction:

