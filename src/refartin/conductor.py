@@ -28,13 +28,14 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, NotRationalError, closure, from_terms, is_prime
+from .cyclotomic import Cyclotomic, NotRationalError, from_terms, is_prime, split_p, unit_powers
 from .grouptheory import (
     ClassFunction,
     FiniteGroup,
     GroupHom,
     Subgroup,
     all_subgroups,
+    combine,
     cyclic_group,
     pair,
     pushforward,
@@ -140,10 +141,8 @@ def qp_irreducibles_cyclic(n: int, p: int) -> list[ClassFunction]:
     group = cyclic_group(n)
     orbit_group = [u for u in range(1, n + 1) if gcd(u, n) == 1]
     if p:
-        m = n
-        while m % p == 0:
-            m //= p
-        frobenius = closure([p % m], lambda x, g: x * g % m, 1 % m)
+        m = split_p(n, p)[1]
+        frobenius = set(unit_powers(p, m))
         orbit_group = [u for u in orbit_group if u % m in frobenius]
     orbits: list[list[int]] = []
     orbit_of = [-1] * n
@@ -287,12 +286,23 @@ def verify_suite(r: RamificationData, *, advisory: bool = False) -> ConductorRep
                                  expected == computed, binding))
 
     n = r.n
-    # relations of the bisecting functions at the datum's tame order
+    # the four relations tying bar_n to bar_nd, d = 1, ..., 4; two do not read d
+    bn = bar_n(n)
+    cn = bn.group
+    reg, triv, aug = standard_characters(cn)
+    orthogonal, bisection = pair(bn, triv).rational(), bn + bn.conjugate()
     for d in range(1, 5):
-        _bar_relation_records(add, n, d)
+        bnd = bar_n(n * d)
+        inputs = f"n={n} d={d}"
+        add("bar-orthogonal-to-1", inputs, 0, orthogonal)
+        add("bar-bisection", inputs, aug, bisection)
+        power_map = GroupHom(bnd.group, cn, tuple(a % n for a in range(n * d)))
+        add("bar-pushforward-compat", inputs, bn, pushforward(power_map, bnd))
+        incl = GroupHom(cn, bnd.group, tuple((a * d) % (n * d) for a in range(n)))
+        add("bar-restriction-compat", inputs, combine(cn, [(bn, 1), (reg, Fraction(d - 1, 2))]),
+            pullback(incl, bnd))
     for rr in range(n):
-        add("bar-pairing", f"n={n} r={rr}", Fraction(rr, n),
-            pair(bar_n(n), power_character(n, rr)).rational())
+        add("bar-pairing", f"n={n} r={rr}", Fraction(rr, n), pair(bn, power_character(n, rr)).rational())
     bar = refined_artin(r)
     ar = artin_character(r)
     add("bisection", f"|G|={r.gamma.order}", ar, bar + bar.conjugate())
@@ -323,8 +333,7 @@ def verify_suite(r: RamificationData, *, advisory: bool = False) -> ConductorRep
             continue
         disc = discriminant_valuation(r, sub)
         reg_h, triv_h, _ = standard_characters(sub.group)
-        rhs = refined_artin(sd.data, averaged=True).scale(sd.f_mk)
-        rhs = rhs + reg_h.scale(Fraction(1, 2) * disc)
+        rhs = combine(sub.group, [(refined_artin(sd.data, averaged=True), sd.f_mk), (reg_h, disc / 2)])
         add("subgroup-restriction", inputs, rhs, pullback(sub.inclusion, bar_avg), prop_binding)
         ind1 = pushforward(sub.inclusion, triv_h)
         add("conductor-discriminant", inputs, disc, pair(ar, ind1).rational())
@@ -350,18 +359,3 @@ def verify_suite(r: RamificationData, *, advisory: bool = False) -> ConductorRep
         add("hasse-arf", f"jumps={[str(j) for j in jumps]}",
             True, all(j.denominator == 1 for j in jumps), prop_binding)
     return ConductorReport(tuple(recs))
-
-
-def _bar_relation_records(add, n: int, d: int) -> None:
-    """The four relations tying bar_n to bar_{nd} (exact, always binding),
-    recorded through verify_suite's ``add``."""
-    bn, bnd = bar_n(n), bar_n(n * d)
-    cn, cnd = bn.group, bnd.group
-    reg, triv, aug = standard_characters(cn)
-    inputs = f"n={n} d={d}"
-    add("bar-orthogonal-to-1", inputs, 0, pair(bn, triv).rational())
-    add("bar-bisection", inputs, aug, bn + bn.conjugate())
-    power_map = GroupHom(cnd, cn, tuple(a % n for a in range(n * d)))
-    add("bar-pushforward-compat", inputs, bn, pushforward(power_map, bnd))
-    incl = GroupHom(cn, cnd, tuple((a * d) % (n * d) for a in range(n)))
-    add("bar-restriction-compat", inputs, bn + reg.scale(Fraction(d - 1, 2)), pullback(incl, bnd))

@@ -17,8 +17,9 @@ kept and no linear system is solved.  Every result is reduced modulo Phi_N
 by :func:`_mod_phi`: fold X^N = 1, then divide by Phi_N from the top down
 through its nonzero terms only (as many as Phi_rad(N) has, 5 at N = 800).
 The inverse is the product of the other Galois conjugates over the norm.
-:func:`hermitian_sum`, the kernel of the class-function pairing, accumulates
-a whole sum of products in Z[X]/(X^N - 1) and canonicalizes once.
+Every linear combination sum w_i v_i / d (integer weights, one d > 0) is one
+:func:`cyclo_sum`, canonicalized once; :func:`hermitian_sum`, the kernel of
+the pairing, sums products in Z[X]/(X^N - 1) and canonicalizes once.
 
 Everything is immutable and pure; the per-conductor caches are filled
 idempotently, so concurrent use needs no synchronization.
@@ -31,8 +32,9 @@ No floating point is used anywhere.
 
 The module is also the package's one home for elementary number theory:
 :func:`is_prime`, :func:`prime_factors`, :func:`euler_phi`, :func:`divisors`,
-:func:`multiplicative_order`, :func:`cyclotomic_polynomial`, and the generic
-:func:`closure` of a set of generators under a multiplication.
+:func:`split_p`, :func:`unit_powers` (multiplicative order and discrete log),
+:func:`cyclotomic_polynomial`, and the generic :func:`closure` of a set of
+generators under a multiplication.
 """
 
 from __future__ import annotations
@@ -53,13 +55,13 @@ class NotRationalError(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
+    """Unbounded, but keyed by conductors, which admission caps at 400."""
     result = n
     for p in prime_factors(n):
         result = result // p * (p - 1)
     return result
 
 
-@lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
     small, large = [], []
     d = 1
@@ -74,12 +76,12 @@ def divisors(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple[int, ...]:
+    """Unbounded, but keyed by conductors, which admission caps at 400."""
     out, p, m = [], 2, n
     while p * p <= m:
         if m % p == 0:
             out.append(p)
-            while m % p == 0:
-                m //= p
+            m = split_p(m, p)[1]
         p += 1
     if m > 1:
         out.append(m)
@@ -122,16 +124,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    if n == 1:
-        return 1
+def split_p(n: int, p: int) -> tuple[int, int]:
+    """(v, m) with n = p^v * m and p not dividing m, for n != 0 and p > 1."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def unit_powers(a: int, n: int) -> list[int]:
+    """[1, a, ..., a^(r-1)] mod n, r the multiplicative order of the unit a
+    mod n: the list's length is that order and ``index(x)`` the discrete log
+    of x to the base a.  Raises ValueError when a is not a unit mod n."""
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
-    x, r = a % n, 1
-    while x != 1:
-        x = (x * a) % n
-        r += 1
-    return r
+    out, x = [1 % n], a % n
+    while x != out[0]:
+        out.append(x)
+        x = x * a % n
+    return out
 
 
 def closure(gens: Iterable, mul: Callable, one, limit: int | None = None) -> set:
@@ -156,7 +168,8 @@ def closure(gens: Iterable, mul: Callable, one, limit: int | None = None) -> set
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, ascending degree, computed by dividing
-    X^n - 1 by the cyclotomic polynomials of the proper divisors of n."""
+    X^n - 1 by the cyclotomic polynomials of the proper divisors of n.
+    Unbounded, but keyed by conductors up to 400 and their divisors."""
     if n == 1:
         return (-1, 1)
     num = (-1,) + (0,) * (n - 1) + (1,)
@@ -366,7 +379,7 @@ class Cyclotomic(_CyclotomicFields):
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return cyclo_sum((self, other), (1, -1))
 
     def __rsub__(self, other) -> "Cyclotomic":
         return (-self) + other
@@ -401,8 +414,7 @@ class Cyclotomic(_CyclotomicFields):
         prod = [1] + [0] * (len(self.num) - 1)
         for k in range(2, n):
             if gcd(k, n) == 1:
-                conj = _scatter(n, zip(range(0, k * len(self.num), k), self.num))
-                prod = _mul_raw(n, prod, conj)
+                prod = _mul_raw(n, prod, self.galois(k).num)
         norm = _mul_raw(n, self.num, prod)[0]
         if norm < 0:
             prod, norm = [-c for c in prod], -norm
@@ -508,26 +520,27 @@ def frobenius_average(a: Cyclotomic, p: int) -> Cyclotomic:
         return a
     if p < 1 or gcd(p, n) != 1:
         raise ValueError(f"{p} is not coprime to the conductor {n}")
-    r = multiplicative_order(p, n)
-    total, k = list(a.num), 1
-    for _ in range(r - 1):
-        k = (k * p) % n
-        conj = _scatter(n, zip(range(0, k * len(a.num), k), a.num))
-        total = list(map(add, total, conj))
-    return Cyclotomic._new(n, total, a.den * r)
+    orbit = unit_powers(p, n)
+    return cyclo_sum([a.galois(k) for k in orbit], den=len(orbit))
 
 
-def cyclo_sum(values: Iterable[Cyclotomic]) -> Cyclotomic:
-    """Sum of cyclotomic values with a single final canonicalization."""
-    values = list(values)
-    if not values:
+def cyclo_sum(
+    values: Iterable[Cyclotomic], weights: Iterable[int] | None = None, den: int = 1
+) -> Cyclotomic:
+    """sum_i weights[i] * values[i] / den for integer weights (all 1 by default)
+    and den > 0, canonicalized once; a single nonzero term is only rescaled."""
+    terms = [(v, w) for v, w in zip(values, repeat(1) if weights is None else weights) if w and v]
+    if len(terms) == 1:
+        v, w = terms[0]
+        return v if w == den == 1 else v._scaled(w, den)
+    if not terms:
         return ZERO
-    n = lcm(*[v.conductor for v in values])
-    den = lcm(*[v.den for v in values])
+    n = lcm(*[v.conductor for v, _ in terms])
+    lden = lcm(*[v.den for v, _ in terms])
     acc = [0] * euler_phi(n)
-    for v in values:
-        acc = list(map(add, acc, map(mul, v._embed(n), repeat(den // v.den))))
-    return Cyclotomic._new(n, acc, den)
+    for v, w in terms:
+        acc = list(map(add, acc, map(mul, v._embed(n), repeat(w * (lden // v.den)))))
+    return Cyclotomic._new(n, acc, lden * den)
 
 
 def hermitian_sum(

@@ -67,7 +67,7 @@ def quad_order() -> MonogenicOrder:
 def cyclotomic_tower_order(p: int, k: int) -> MonogenicOrder:
     """The order of the p^k-th cyclotomic extension of the p-adics, generated
     by x = zeta - 1 (Eisenstein); Galois maps x -> (x+1)^j - 1 for j prime
-    to p."""
+    to p.  Unbounded, but the package reads only the four curated towers."""
     if k < 1:
         raise ValueError("k must be >= 1")
     q = p**k

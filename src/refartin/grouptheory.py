@@ -11,12 +11,14 @@ tables (cyclic, abelian and permutation groups, subgroups, quotients) are
 groups by construction and go through ``_group``, which only derives inverses
 and classes; inclusions, projections and composites are not re-checked.
 
-Class functions carry one exact cyclotomic value per conjugacy class.  The
-pairing is hermitian, (f1|f2) = (1/|G|) sum f1(g) * conj(f2(g)); for
-characters (and for every central function produced by this package) this
-agrees with (1/|G|) sum f1(g) f2(g^-1).  It is one accumulation in
-Z[X]/(X^N - 1), N the lcm of the value conductors, followed by one reduction
-to canonical form (:func:`refartin.cyclotomic.hermitian_sum`).
+Class functions carry one exact cyclotomic value per conjugacy class.  A
+rational linear combination of them, a pushforward's fiber sum included, is
+one weighted ``cyclo_sum`` per class (:func:`combine`).  The pairing is
+hermitian, (f1|f2) = (1/|G|) sum f1(g) * conj(f2(g)); for characters (and for
+every central function produced by this package) this agrees with
+(1/|G|) sum f1(g) f2(g^-1).  It is one accumulation in Z[X]/(X^N - 1), N the
+lcm of the value conductors, followed by one reduction to canonical form
+(:func:`refartin.cyclotomic.hermitian_sum`).
 
 All types are immutable after construction and all operations are pure.
 """
@@ -180,6 +182,8 @@ def _group(tab: tuple[tuple[int, ...], ...]) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def cyclic_group(n: int) -> FiniteGroup:
+    """Z/n, one object per n.  Unbounded, but keyed by orders up to 400: specs
+    stop at MAX_GROUP_ORDER, ``verify`` at bar_n for 4 times a tame order <= 100."""
     if n < 1:
         raise GroupValidationError("cyclic order must be positive")
     return _group(tuple([tuple([(i + j) % n for j in range(n)]) for i in range(n)]))
@@ -187,6 +191,9 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def abelian_group(invariants: tuple[int, ...]) -> FiniteGroup:
+    """Unbounded, but keyed by the invariants of group specs, whose product
+    :func:`build_group` caps at MAX_GROUP_ORDER (the count of invariants 1 is
+    not capped); a CLI process builds one spec."""
     if not invariants or any(k < 1 for k in invariants):
         raise GroupValidationError("abelian invariants must be positive")
     elements = list(itertools.product(*[range(k) for k in invariants]))
@@ -417,12 +424,10 @@ class ClassFunction(_ClassFunctionFields):
         return self.values[self.group.class_of[g]]
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        _same_group(self, other)
-        return ClassFunction(self.group, tuple([a + b for a, b in zip(self.values, other.values)]))
+        return combine(self.group, [(self, 1), (other, 1)])
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        _same_group(self, other)
-        return ClassFunction(self.group, tuple([a - b for a, b in zip(self.values, other.values)]))
+        return combine(self.group, [(self, 1), (other, -1)])
 
     def __neg__(self) -> "ClassFunction":
         return ClassFunction(self.group, tuple([-a for a in self.values]))
@@ -450,6 +455,19 @@ class ClassFunction(_ClassFunctionFields):
 def _same_group(a: ClassFunction, b: ClassFunction) -> None:
     if a.group != b.group:
         raise GroupValidationError("class functions live on different groups")
+
+
+def combine(group: FiniteGroup, terms: Sequence[tuple[ClassFunction, int | Fraction]]) -> ClassFunction:
+    """sum_i c_i f_i for class functions f_i on ``group`` and rationals c_i
+    (zero for no terms): one ``cyclo_sum`` per class, over the lcm of the c_i's
+    denominators."""
+    if any(f.group != group for f, _ in terms):
+        raise GroupValidationError("class functions live on different groups")
+    den = lcm(*[c.denominator for _, c in terms])
+    weights = [c.numerator * (den // c.denominator) for _, c in terms]
+    return ClassFunction(group, tuple([
+        cyclo_sum([f.values[k] for f, _ in terms], weights, den) for k in range(len(group.classes))
+    ]))
 
 
 def pair(f1: ClassFunction, f2: ClassFunction) -> Cyclotomic:
@@ -483,16 +501,19 @@ def pushforward(alpha: GroupHom, chi: ClassFunction) -> ClassFunction:
 
     One formula covers injective (induction), surjective (fiber averaging)
     and general homomorphisms:
-        (alpha_* chi)(c') = (|G'| / (|G| |c'|)) * sum_{g : alpha(g) in c'} chi(g).
+        (alpha_* chi)(c') = (|G'| / (|G| |c'|)) * sum_{g : alpha(g) in c'} chi(g),
+    one ``cyclo_sum`` per c' with the weight |c| |G'| on each class c over it.
     """
     if chi.group != alpha.source:
         raise GroupValidationError("class function not on the hom source")
     src, tgt = alpha.source, alpha.target
-    sums: list[list[Cyclotomic]] = [[] for _ in tgt.classes]
+    fibers: list[list[Cyclotomic]] = [[] for _ in tgt.classes]
+    weights: list[list[int]] = [[] for _ in tgt.classes]
     for cls, v in zip(src.classes, chi.values):  # a hom maps classes into classes
-        sums[tgt.class_of[alpha.mapping[cls[0]]]] += [v] * len(cls)
-    m, n = tgt.order, src.order
-    vals = [cyclo_sum(s) * Fraction(m, n * len(c)) for s, c in zip(sums, tgt.classes)]
+        j = tgt.class_of[alpha.mapping[cls[0]]]
+        fibers[j].append(v)
+        weights[j].append(len(cls) * tgt.order)
+    vals = [cyclo_sum(f, w, src.order * len(c)) for f, w, c in zip(fibers, weights, tgt.classes)]
     return ClassFunction(tgt, tuple(vals))
 
 

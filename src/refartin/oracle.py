@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence
 
 from ._linalg import integer_kernel, valuation_det
 from ._poly import plow_order, pmod, pmul, psub, ptrim
-from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, multiplicative_order
+from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, split_p, unit_powers
 from .grouptheory import FiniteGroup, compared_fields, generators, group_from_table
 from .ramification import OracleError, RamificationData, build_ramification
 
@@ -156,7 +156,7 @@ def _packed_ring(mat: Sequence[Sequence[int]], p: int, q: int):
     def low(row):
         xs = unpack(row)
         g = math.gcd(q, *xs)
-        return None if g == q else (_val_p(g, p), next(j for j, x in enumerate(xs) if x % (g * p)))
+        return None if g == q else (split_p(g, p)[0], next(j for j, x in enumerate(xs) if x % (g * p)))
 
     def pivot(prow, v, j):
         prow, pv, shift, mask = pack(unpack(prow)), p**v, j * bits, (1 << bits) - 1
@@ -304,17 +304,8 @@ def valuation_monogenic(order: MonogenicOrder, y: Sequence[int] | Sequence[Fract
     p, e = order.p, order.degree
     den = math.lcm(*(c.denominator for c in y))
     z = _reduce_int([c.numerator * (den // c.denominator) for c in y], order.f)
-    terms = [e * _val_p(c, p) + i for i, c in enumerate(z) if c]
-    return min(terms) - e * _val_p(den, p) if terms else math.inf
-
-
-def _val_p(q: int, p: int) -> int:
-    """nu_p(q) for an integer q != 0."""
-    v = 0
-    while q % p == 0:
-        q //= p
-        v += 1
-    return v
+    terms = [e * split_p(c, p)[0] + i for i, c in enumerate(z) if c]
+    return min(terms) - e * split_p(den, p)[0] if terms else math.inf
 
 
 def regular_action(group: FiniteGroup) -> list[list[list[int]]]:
@@ -407,16 +398,13 @@ def phi_roots_mod_p(n: int, p: int) -> list[int]:
     divides p - 1, and otherwise the powers w^k, gcd(k, m) = 1, of the first
     w = a^((p-1)/m) of order m.
     """
-    m = n
-    while m % p == 0:
-        m //= p
+    m = split_p(n, p)[1]
     if (p - 1) % m:
         return []
     for a in range(1, p):
-        w = pow(a, (p - 1) // m, p)
-        powers = [pow(w, k, p) for k in range(1, m + 1)]
-        if powers.index(1) == m - 1:  # w has order exactly m
-            return sorted([x for k, x in enumerate(powers, 1) if math.gcd(k, m) == 1])
+        powers = unit_powers(pow(a, (p - 1) // m, p), p)
+        if len(powers) == m:  # a^((p-1)/m) has order exactly m
+            return sorted([x for k, x in enumerate(powers) if math.gcd(k, m) == 1])
     raise AssertionError("F_p^* is cyclic, so some a has order m")
 
 
@@ -431,9 +419,7 @@ def tame_character_from_monogenic(order: MonogenicOrder, prime_choice: int = 0) 
     """
     p, grp = order.p, order.group
     # the tame quotient Gamma_0 / Gamma_1: Gamma_1 is the p-Sylow subgroup of Gamma_0 = Gamma
-    n = grp.order
-    while n % p == 0:
-        n //= p
+    n = split_p(grp.order, p)[1]
     if n == 1:
         raise OracleError("the extension has trivial tame quotient")
     # sigma(x)/x mod the maximal ideal: the linear coefficient of g mod p
@@ -451,8 +437,8 @@ def tame_character_from_monogenic(order: MonogenicOrder, prime_choice: int = 0) 
     if not 0 <= prime_choice < len(roots):
         raise OracleError(f"prime_choice {prime_choice} out of range: {len(roots)} primes above {p}")
     root = roots[prime_choice]
-    gen = min(g for g in range(grp.order) if multiplicative_order(units[g], p) == n)
-    exponent = next(c for c in range(n) if pow(root, c, p) == units[gen])
+    gen = min(g for g in range(grp.order) if len(unit_powers(units[g], p)) == n)
+    exponent = unit_powers(root, p).index(units[gen])
     return TameCharacterData(gen, exponent, n, root)
 
 

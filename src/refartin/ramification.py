@@ -27,11 +27,12 @@ from functools import lru_cache
 from math import ceil, gcd
 from typing import NamedTuple, Sequence
 
-from .cyclotomic import ZERO, frobenius_average, from_terms, is_prime, roots_of_unity
+from .cyclotomic import frobenius_average, from_terms, is_prime, roots_of_unity, split_p
 from .grouptheory import (
     ClassFunction,
     FiniteGroup,
     Subgroup,
+    combine,
     compared_fields,
     cyclic_group,
     pushforward,
@@ -49,14 +50,6 @@ class OracleError(ValueError):
     """Raised when oracle input violates a structural invariant.  Defined
     here, not in :mod:`refartin.oracle`, so the CLI's error table needs no
     oracle import."""
-
-
-def _is_prime_power(m: int, p: int) -> bool:
-    if m == 1:
-        return True
-    while m % p == 0:
-        m //= p
-    return m == 1
 
 
 class RamificationData(NamedTuple):
@@ -143,7 +136,7 @@ def build_ramification(
         if wild != 1:
             raise RamificationError("equal characteristic zero requires trivial wild inertia")
     else:
-        if not _is_prime_power(wild, p):
+        if split_p(wild, p)[1] != 1:
             raise RamificationError(f"wild inertia order {wild} is not a power of p={p}")
         if n % p == 0:
             raise RamificationError("tame quotient order is divisible by p")
@@ -272,31 +265,23 @@ def _induced_augmentation(s: Subgroup) -> ClassFunction:
 
 def artin_character(r: RamificationData) -> ClassFunction:
     """Ar = sum_{i>=0} 1/[Gamma_0:Gamma_i] Ind u_{Gamma_i}; rational valued."""
-    total = _zero_cf(r.gamma)
-    for i in range(len(r.filtration)):
-        s = r.subgroup_at(i)
-        total = total + _induced_augmentation(s).scale(Fraction(s.order, r.e))
-    return total
-
-
-def _zero_cf(g: FiniteGroup) -> ClassFunction:
-    return ClassFunction(g, (ZERO,) * len(g.classes))
+    return combine(r.gamma, [(_induced_augmentation(s), Fraction(s.order, r.e)) for s in r.subgroups[:-1]])
 
 
 def _tame_part_on_quotient(
     r: RamificationData, g0: Subgroup, wild: frozenset[int]
-) -> ClassFunction:
-    """Ind_{Gamma_0}^Gamma Inf(Psi^* bar_n), with Gamma_0 given as the
-    subgroup ``g0`` and Gamma_1 by its member set ``wild`` in Gamma."""
+) -> list[tuple[ClassFunction, int]]:
+    """[(Ind_{Gamma_0}^Gamma Inf(Psi^* bar_n), 1)], [] when n = 1, with Gamma_0
+    given as the subgroup ``g0`` and Gamma_1 by its member set ``wild``."""
     n = r.n
     if n == 1:
-        return _zero_cf(r.gamma)
+        return []
     bn = bar_n(n)
     vals = [
         bn.values[(_dlog_mod_wild(r, g0.members[cls[0]], wild) * r.tame_exponent) % n]
         for cls in g0.group.classes
     ]
-    return pushforward(g0.inclusion, ClassFunction(g0.group, tuple(vals)))
+    return [(pushforward(g0.inclusion, ClassFunction(g0.group, tuple(vals))), 1)]
 
 
 @lru_cache(maxsize=128)
@@ -324,13 +309,12 @@ def refined_artin(r: RamificationData, *, averaged: bool = False) -> ClassFuncti
     if averaged:
         bar = refined_artin(r)
         return p_average(bar, r.p, r.n)
-    total = _tame_part_on_quotient(r, r.subgroup_at(0), r.members_at(1))
-    for i in range(1, len(r.filtration)):
-        s = r.subgroup_at(i)
+    terms = _tame_part_on_quotient(r, r.subgroup_at(0), r.members_at(1))
+    for i, s in enumerate(r.subgroups[1:-1], 1):
         # Gamma_1 carries both the 1/2 Ind u_{Gamma_1} term and its own summand
         coeff = Fraction(s.order, 2 * r.e) + (Fraction(1, 2) if i == 1 else 0)
-        total = total + _induced_augmentation(s).scale(coeff)
-    return total
+        terms.append((_induced_augmentation(s), coeff))
+    return combine(r.gamma, terms)
 
 
 def refined_artin_upper(r: RamificationData) -> ClassFunction:
@@ -345,16 +329,15 @@ def refined_artin_upper(r: RamificationData) -> ClassFunction:
     """
     e = r.e
     wild = upper_group(r, Fraction(1, e))
-    total = _tame_part_on_quotient(r, upper_group(r, 0), frozenset(wild.members))
-    total = total + _induced_augmentation(wild).scale(Fraction(1, 2))
+    terms = _tame_part_on_quotient(r, upper_group(r, 0), frozenset(wild.members))
+    terms.append((_induced_augmentation(wild), Fraction(1, 2)))
     counts: dict[Subgroup, int] = {}
     i = 1
     while (s := upper_group(r, Fraction(i, e))).order > 1:
         counts[s] = counts.get(s, 0) + 1
         i += 1
-    for s, count in counts.items():
-        total = total + _induced_augmentation(s).scale(Fraction(count, 2 * e))
-    return total
+    terms += [(_induced_augmentation(s), Fraction(count, 2 * e)) for s, count in counts.items()]
+    return combine(r.gamma, terms)
 
 
 def p_average(chi: ClassFunction, p: int, n: int) -> ClassFunction:

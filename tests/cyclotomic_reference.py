@@ -19,7 +19,6 @@ from refartin.cyclotomic import (
     closure,
     cyclotomic_polynomial,
     euler_phi,
-    multiplicative_order,
     prime_factors,
 )
 
@@ -171,6 +170,14 @@ def add(a: Value, b: Value) -> Value:
     return canonical(n, [x + y for x, y in zip(embed(a, n), embed(b, n))])
 
 
+def weighted_sum(values: Sequence[Value], weights: Sequence[int], den: int) -> Value:
+    """sum_i weights[i] * values[i] / den, folded one ``add`` at a time."""
+    total: Value = (1, (_F0,))
+    for (n, coeffs), w in zip(values, weights, strict=True):
+        total = add(total, (n, tuple([c * w / den for c in coeffs])))
+    return total
+
+
 def mul(a: Value, b: Value) -> Value:
     n = lcm(a[0], b[0])
     x, y = embed(a, n), embed(b, n)
@@ -195,9 +202,7 @@ def frobenius_average(a: Value, p: int) -> Value:
     n = a[0]
     if n == 1:
         return a
-    r = multiplicative_order(p, n)
-    total, k = a, 1
-    for _ in range(r - 1):
-        k = (k * p) % n
-        total = add(total, galois(a, k))
+    total, k, r = a, p % n, 1
+    while k != 1:  # the orbit of p in (Z/n)*, counted here and not by the kernel
+        total, k, r = add(total, galois(a, k)), k * p % n, r + 1
     return total[0], tuple(c / r for c in total[1])

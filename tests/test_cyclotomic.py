@@ -18,6 +18,8 @@ from refartin.cyclotomic import (
     from_terms,
     make_root,
     parse_value,
+    split_p,
+    unit_powers,
 )
 
 
@@ -196,6 +198,42 @@ def test_power_sums_closed_form():
 
 def test_euler_phi():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-60, max_value=300), st.integers(min_value=1, max_value=300))
+def test_unit_powers_give_the_order_and_the_discrete_log(a, n):
+    if gcd(a, n) != 1:
+        with pytest.raises(ValueError, match="not a unit"):
+            unit_powers(a, n)
+        return
+    powers = unit_powers(a, n)
+    r = len(powers)
+    assert pow(a, r, n) == 1 % n
+    assert all(pow(a, k, n) != 1 % n for k in range(1, r))  # r is the least order
+    for k in range(2 * r):
+        assert powers.index(pow(a, k, n)) == k % r  # index is the discrete log
+
+
+def test_unit_powers_examples():
+    assert unit_powers(2, 7) == [1, 2, 4]
+    assert unit_powers(3, 7) == [1, 3, 2, 6, 4, 5]
+    assert unit_powers(5, 1) == [0]
+    with pytest.raises(ValueError):
+        unit_powers(4, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 1009]),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+)
+def test_split_p_is_the_p_adic_split(p, e, c):
+    n = p**e * c
+    v, m = split_p(n, p)
+    assert n == p**v * m and m % p != 0
+    assert v >= e and (v == e) == (c % p != 0)
 
 
 @settings(max_examples=60, deadline=None)

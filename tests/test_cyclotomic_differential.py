@@ -4,7 +4,8 @@ sympy.
 
 Operands are drawn at divisors of one conductor n <= 60 (conductors
 congruent to 2 mod 4 included), so every sum and product stays at most at n.
-Each result must be in canonical form and equal the reference's.  A
+Each result must be in canonical form and equal the reference's; weighted
+sums are checked against a fold of the reference's additions.  A
 parametrized case carries the descent past 60, to conductors with
 q^2 | n and with q coprime to n/q for q = 3, 5, 7.  The reduction modulo
 Phi_n is checked on its own against dense long division up to n = 800.
@@ -83,6 +84,23 @@ def test_from_terms_sums_and_products_match_reference(ops):
     assert pair(a * b) == ref.mul(ra, rb)
     assert pair(a * b + c) == ref.add(ref.mul(ra, rb), rc)
     assert pair(cyclo_sum([a, b, c])) == ref.add(ref.add(ra, rb), rc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    operands(count=4),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=4, max_size=4),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=4),
+)
+def test_weighted_cyclo_sum_matches_the_fold(ops, weights, den, size):
+    """Zero and negative weights, den >= 1, and 0 to 4 terms (a single
+    nonzero term is only rescaled, so it takes its own path)."""
+    values = [build(m, terms) for m, terms in ops[1][:size]]
+    weights = weights[:size]
+    refs = [pair(v) for v in values]
+    assert pair(cyclo_sum(values, weights, den)) == ref.weighted_sum(refs, weights, den)
+    assert pair(cyclo_sum(values, den=den)) == ref.weighted_sum(refs, [1] * size, den)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,9 @@ the subgroup lattice against the earlier implementations in
 Class functions are drawn on cyclic and abelian groups of order <= 24 and, so
 that classes of more than one element occur, on S3, D4 and A4.  Their values
 sit at mixed conductors (1, odd, and multiples of 4), carry denominators, and
-some classes are zero.  Results must be equal in canonical form.
+some classes are zero.  Results must be equal in canonical form.  Linear
+combinations (``combine``) are checked value by value against the Fraction
+kernel of ``cyclotomic_reference.py``.
 
 The lattice is compared on cyclic groups of order 1-48, on S3, D4, Q8, A4, S4
 and on eight abelian groups of order 8-48.  Every subgroup and quotient table
@@ -21,14 +23,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclotomic_reference as cref
 import grouptheory_reference as ref
 from refartin.conductor import qp_irreducibles_cyclic
 from refartin.cyclotomic import ZERO, from_terms, make_root
 from refartin.grouptheory import (
     ClassFunction,
+    GroupValidationError,
     abelian_group,
     all_subgroups,
     build_group,
+    combine,
     cyclic_group,
     group_from_table,
     hom,
@@ -92,6 +97,45 @@ def test_pair_matches_reference(fs):
     f1, f2 = fs
     assert pair(f1, f2) == ref.pair(f1, f2)
     assert pair(f2, f1) == ref.pair(f1, f2).conjugate()
+
+
+@st.composite
+def combinations(draw):
+    """A group and 0 to 4 class functions on it, each with a rational
+    coefficient (zero and negative ones included)."""
+    g = draw(st.sampled_from(GROUPS))
+    k = len(g.classes)
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        f = ClassFunction(g, tuple(draw(st.lists(values(), min_size=k, max_size=k))))
+        terms.append((f, draw(st.one_of(st.integers(min_value=-3, max_value=3), rationals))))
+    return g, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(combinations())
+def test_combine_matches_valuewise_reference(case):
+    """Each value against a fold of the Fraction kernel's products and sums."""
+    g, terms = case
+    out = combine(g, terms)
+    for k, v in enumerate(out.values):
+        expected = (1, (Fraction(0),))
+        for f, c in terms:
+            x = f.values[k]
+            expected = cref.add(expected, cref.mul((1, (Fraction(c),)), (x.conductor, x.coeffs)))
+        assert (v.conductor, v.coeffs) == expected
+    if len(terms) == 2:
+        (f1, _), (f2, _) = terms
+        assert (f1 + f2).values == tuple([a + b for a, b in zip(f1.values, f2.values)])
+        assert (f1 - f2).values == tuple([a - b for a, b in zip(f1.values, f2.values)])
+
+
+def test_combine_refuses_another_group():
+    c2, c3 = cyclic_group(2), cyclic_group(3)
+    f = ClassFunction(c3, (ZERO,) * 3)
+    with pytest.raises(GroupValidationError, match="different groups"):
+        combine(c2, [(f, 1)])
+    assert combine(c2, []) == ClassFunction(c2, (ZERO, ZERO))
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 11])
