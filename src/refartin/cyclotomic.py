@@ -3,7 +3,8 @@
 A value is stored in the power basis 1, z, ..., z^(phi(N)-1) of
 Q[X]/(Phi_N(X)) as a tuple of integer numerators over one positive common
 denominator, in lowest terms (the gcd of the denominator and all numerators
-is 1).  All arithmetic therefore runs on plain Python ints; ``coeffs`` is a
+is 1).  Arithmetic, printing and parsing run on plain Python ints (``encode``
+and ``str`` reduce each numerator against den by one gcd); ``coeffs`` is a
 read-only view of the coordinates as ``Fraction``.
 
 Values are always kept at the *smallest* conductor realizing them, so
@@ -19,7 +20,8 @@ through its nonzero terms only (as many as Phi_rad(N) has, 5 at N = 800).
 The inverse is the product of the other Galois conjugates over the norm.
 Every linear combination sum w_i v_i / d (integer weights, one d > 0) is one
 :func:`cyclo_sum`, canonicalized once; :func:`hermitian_sum`, the kernel of
-the pairing, sums products in Z[X]/(X^N - 1) and canonicalizes once.
+the pairing, sums products in Z[X]/(X^N - 1) over a final ``den`` (|G| for a
+pairing) and canonicalizes once.
 
 Everything is immutable and pure; the per-conductor caches are filled
 idempotently, so concurrent use needs no synchronization.
@@ -285,6 +287,12 @@ def _canonical(n: int, num: Sequence[int]) -> tuple[int, Sequence[int]]:
     return 1, num[:1]
 
 
+def _ratio(c: int, den: int) -> str:
+    """str(Fraction(c, den)) for den > 0, without building the Fraction."""
+    g = gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
+
+
 def _lowest(n: int, num: Sequence[int], den: int) -> "Cyclotomic":
     """The value sum(num[i] z_n^i) / den, with n already its conductor."""
     g = gcd(den, *num)
@@ -348,8 +356,7 @@ class Cyclotomic(_CyclotomicFields):
         if isinstance(x, Cyclotomic):
             return x
         if isinstance(x, (int, Fraction)):
-            q = Fraction(x)
-            return Cyclotomic(1, (q.numerator,), q.denominator)
+            return Cyclotomic(1, (x.numerator,), x.denominator)
         return NotImplemented  # type: ignore[return-value]
 
     def _embed(self, n: int) -> Sequence[int]:
@@ -462,18 +469,15 @@ class Cyclotomic(_CyclotomicFields):
 
     def encode(self) -> dict:
         """Canonical text encoding {"n": N, "terms": [[k, "a/b"], ...]}."""
-        terms = [[i, str(c)] for i, c in enumerate(self.coeffs) if c]
-        return {"n": self.conductor, "terms": terms}
+        den = self.den
+        return {"n": self.conductor, "terms": [[i, _ratio(c, den)] for i, c in enumerate(self.num) if c]}
 
     def __str__(self) -> str:
-        if self.conductor == 1:
-            return str(self.coeffs[0])
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mono = "1" if i == 0 else f"z{self.conductor}" + (f"^{i}" if i > 1 else "")
-            parts.append(f"{c}*{mono}" if i else str(c))
+        n, den = self.conductor, self.den
+        if n == 1:
+            return _ratio(self.num[0], den)
+        monos = ["", f"*z{n}"] + [f"*z{n}^{i}" for i in range(2, len(self.num))]
+        parts = [_ratio(c, den) + mono for c, mono in zip(self.num, monos) if c]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
@@ -544,23 +548,21 @@ def cyclo_sum(
 
 
 def hermitian_sum(
-    a: Sequence[Cyclotomic], b: Sequence[Cyclotomic], weights: Sequence[int]
+    a: Sequence[Cyclotomic], b: Sequence[Cyclotomic], weights: Sequence[int], den: int = 1
 ) -> Cyclotomic:
-    """sum_c weights[c] * a[c] * conj(b[c]) with a single final canonicalization.
+    """sum_c weights[c] * a[c] * conj(b[c]) / den (den > 0), canonicalized once.
 
     The terms are accumulated in Z[X]/(X^N - 1), N the lcm of the conductors
     involved: numerator i of a conductor-m value is the power X^(i N/m),
     conjugation negates exponents and a product is a cyclic convolution.  Only
     the sum is reduced modulo Phi_N and put in canonical form.
     """
-    terms = [(x, y, w) for x, y, w in zip(a, b, weights) if x and y]
-    if not terms:
-        return ZERO
+    terms = list(zip(a, b, weights))
     n = lcm(*[x.conductor for x, _, _ in terms], *[y.conductor for _, y, _ in terms])
-    den = lcm(*[x.den * y.den for x, y, _ in terms])
+    lden = lcm(*[x.den * y.den for x, y, _ in terms])
     acc = [0] * (2 * n)  # exponents e + k with 0 <= e, k < n; _mod_phi folds X^n = 1
     for x, y, w in terms:
-        f = w * (den // (x.den * y.den))
+        f = w * (lden // (x.den * y.den))
         sx, sy = n // x.conductor, n // y.conductor
         conj = [(-j * sy % n, c) for j, c in enumerate(y.num) if c]
         for i, c in enumerate(x.num):
@@ -569,20 +571,18 @@ def hermitian_sum(
                 e = i * sx
                 for k, d in conj:
                     acc[e + k] += c * d
-    return Cyclotomic._new(n, _mod_phi(n, acc), den)
+    return Cyclotomic._new(n, _mod_phi(n, acc), lden * den)
 
 
 def from_terms(n: int, terms: Iterable[tuple[int, int | Fraction]]) -> Cyclotomic:
-    """Sum of coeff * zeta_n^k terms; accepts arbitrary exponents, and int
-    or Fraction coefficients, which are accumulated as given."""
+    """Sum of coeff * zeta_n^k terms for arbitrary exponents and int or Fraction
+    coefficients, scattered once as integers over the lcm of their denominators."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    raw: dict[int, int | Fraction] = {}
-    for k, c in terms:
-        raw[k % n] = raw.get(k % n, 0) + c
-    den = lcm(*[c.denominator for c in raw.values()])
-    raw_num = {k: c.numerator * (den // c.denominator) for k, c in raw.items()}
-    return Cyclotomic._new(n, _scatter(n, raw_num.items()), den)
+    terms = list(terms)
+    den = lcm(*[c.denominator for _, c in terms])
+    num = _scatter(n, [(k, c.numerator * (den // c.denominator)) for k, c in terms])
+    return Cyclotomic._new(n, num, den)
 
 
 def parse_value(obj) -> Cyclotomic:

@@ -17,8 +17,8 @@ one weighted ``cyclo_sum`` per class (:func:`combine`).  The pairing is
 hermitian, (f1|f2) = (1/|G|) sum f1(g) * conj(f2(g)); for characters (and for
 every central function produced by this package) this agrees with
 (1/|G|) sum f1(g) f2(g^-1).  It is one accumulation in Z[X]/(X^N - 1), N the
-lcm of the value conductors, followed by one reduction to canonical form
-(:func:`refartin.cyclotomic.hermitian_sum`).
+lcm of the value conductors, over the denominator |G|, then one reduction to
+canonical form (:func:`refartin.cyclotomic.hermitian_sum`).
 
 All types are immutable after construction and all operations are pure.
 """
@@ -191,9 +191,9 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def abelian_group(invariants: tuple[int, ...]) -> FiniteGroup:
-    """Unbounded, but keyed by the invariants of group specs, whose product
-    :func:`build_group` caps at MAX_GROUP_ORDER (the count of invariants 1 is
-    not capped); a CLI process builds one spec."""
+    """Unbounded, but keyed by the invariants of group specs, which
+    :func:`build_group` passes without the ones and with their product capped
+    at MAX_GROUP_ORDER, so at most 7 of them; a CLI process builds one spec."""
     if not invariants or any(k < 1 for k in invariants):
         raise GroupValidationError("abelian invariants must be positive")
     elements = list(itertools.product(*[range(k) for k in invariants]))
@@ -248,7 +248,8 @@ def build_group(spec: dict) -> FiniteGroup:
     if kind == "cyclic":
         return cyclic_group(int(arg))
     if kind == "abelian":
-        return abelian_group(tuple(int(k) for k in arg))
+        invariants = [int(k) for k in arg]  # a factor range(1) adds a constant coordinate
+        return abelian_group(tuple([k for k in invariants if k != 1] or invariants[:1]))
     if kind == "perm":
         return perm_group(arg)
     if kind == "table":
@@ -433,8 +434,6 @@ class ClassFunction(_ClassFunctionFields):
         return ClassFunction(self.group, tuple([-a for a in self.values]))
 
     def scale(self, s) -> "ClassFunction":
-        if isinstance(s, (int, Fraction)):
-            s = from_rational(s)
         return ClassFunction(self.group, tuple([a * s for a in self.values]))
 
     def __mul__(self, other) -> "ClassFunction":
@@ -471,11 +470,10 @@ def combine(group: FiniteGroup, terms: Sequence[tuple[ClassFunction, int | Fract
 
 
 def pair(f1: ClassFunction, f2: ClassFunction) -> Cyclotomic:
-    """(f1|f2) = (1/|G|) sum_g f1(g) conj(f2(g)), computed classwise."""
+    """(f1|f2) = (1/|G|) sum_g f1(g) conj(f2(g)): one ``hermitian_sum`` over the
+    classes, weighted by their sizes, with |G| as its final denominator."""
     _same_group(f1, f2)
-    g = f1.group
-    sizes = [len(cls) for cls in g.classes]
-    return hermitian_sum(f1.values, f2.values, sizes) * Fraction(1, g.order)
+    return hermitian_sum(f1.values, f2.values, [len(cls) for cls in f1.group.classes], f1.group.order)
 
 
 def standard_characters(g: FiniteGroup) -> tuple[ClassFunction, ClassFunction, ClassFunction]:
@@ -513,7 +511,8 @@ def pushforward(alpha: GroupHom, chi: ClassFunction) -> ClassFunction:
         j = tgt.class_of[alpha.mapping[cls[0]]]
         fibers[j].append(v)
         weights[j].append(len(cls) * tgt.order)
-    vals = [cyclo_sum(f, w, src.order * len(c)) for f, w, c in zip(fibers, weights, tgt.classes)]
+    vals = [cyclo_sum(f, w, src.order * len(c)) if f else ZERO  # no class of G over c'
+            for f, w, c in zip(fibers, weights, tgt.classes)]
     return ClassFunction(tgt, tuple(vals))
 
 

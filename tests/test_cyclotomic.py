@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refartin.cyclotomic import (
@@ -186,6 +186,51 @@ def test_parse_accepts_arbitrary_terms_printer_is_canonical():
 @given(cyclotomics())
 def test_encode_round_trip(a):
     assert parse_value(json.loads(json.dumps(a.encode()))) == a
+
+
+def _fraction_rendering(a):
+    """encode() and str() as rendered from one Fraction per coordinate."""
+    coeffs = a.coeffs
+    encoded = {"n": a.conductor, "terms": [[i, str(c)] for i, c in enumerate(coeffs) if c]}
+    if a.conductor == 1:
+        return encoded, str(coeffs[0])
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c:
+            mono = "1" if i == 0 else f"z{a.conductor}" + (f"^{i}" if i > 1 else "")
+            parts.append(f"{c}*{mono}" if i else str(c))
+    return encoded, " + ".join(parts) if parts else "0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(cyclotomics(max_conductor=40), st.builds(from_rational, rationals)))
+@example(ZERO)
+@example(from_rational(Fraction(-7, 3)))
+@example(from_rational(-4))
+@example(from_terms(5, [(1, Fraction(-3, 4)), (2, Fraction(1, 2)), (3, 5)]))
+@example(from_terms(12, [(1, Fraction(-5, 6)), (2, Fraction(7, 4)), (0, -2)]))
+def test_printing_matches_the_fraction_rendering(a):
+    assert (a.encode(), str(a)) == _fraction_rendering(a)
+
+
+def test_printing_builds_no_fraction(monkeypatch):
+    import refartin.cyclotomic as cyclotomic
+
+    values = [
+        from_terms(12, [(1, Fraction(-5, 6)), (3, Fraction(7, 4))]),
+        make_root(7, 3),
+        make_root(5, 1) * Fraction(-2, 3),
+        from_terms(9, [(1, 2), (4, -6)]),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(cyclotomic, "Fraction", refuse)
+    assert [v.den for v in values] == [12, 1, 3, 1]
+    assert [str(v) for v in values] == ["-5/6*z12 + 7/4*z12^3", "1*z7^3", "-2/3*z5", "2*z9 + -6*z9^4"]
+    assert values[0].encode() == {"n": 12, "terms": [[1, "-5/6"], [3, "7/4"]]}
+    assert values[2].encode() == {"n": 5, "terms": [[1, "-2/3"]]}
 
 
 def test_power_sums_closed_form():

@@ -5,8 +5,11 @@ sympy.
 Operands are drawn at divisors of one conductor n <= 60 (conductors
 congruent to 2 mod 4 included), so every sum and product stays at most at n.
 Each result must be in canonical form and equal the reference's; weighted
-sums are checked against a fold of the reference's additions.  A
-parametrized case carries the descent past 60, to conductors with
+sums are checked against a fold of the reference's additions, and the
+hermitian sum (zero entries, a final denominator) against a fold of its
+products with conjugates.  ``from_terms`` is also checked on mixed int and
+Fraction coefficients whose exponents repeat, are negative or pass n and
+partly cancel.  A parametrized case carries the descent past 60, to conductors with
 q^2 | n and with q coprime to n/q for q = 3, 5, 7.  The reduction modulo
 Phi_n is checked on its own against dense long division up to n = 800.
 """
@@ -16,12 +19,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyclotomic_reference as ref
 from refartin._poly import pdivmod
 from refartin.cyclotomic import (
+    ZERO,
     Cyclotomic,
     _mod_phi,
     cyclo_sum,
@@ -30,6 +34,7 @@ from refartin.cyclotomic import (
     euler_phi,
     frobenius_average,
     from_terms,
+    hermitian_sum,
     make_root,
     prime_factors,
 )
@@ -101,6 +106,52 @@ def test_weighted_cyclo_sum_matches_the_fold(ops, weights, den, size):
     refs = [pair(v) for v in values]
     assert pair(cyclo_sum(values, weights, den)) == ref.weighted_sum(refs, weights, den)
     assert pair(cyclo_sum(values, den=den)) == ref.weighted_sum(refs, [1] * size, den)
+
+
+@st.composite
+def mixed_terms(draw):
+    """A conductor n <= 40 and terms with int and Fraction coefficients whose
+    exponents repeat, are negative or reach past n, some of them cancelling
+    an earlier term at an exponent shifted by a multiple of n."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    coeff = st.one_of(st.integers(min_value=-6, max_value=6), rationals)
+    terms = draw(st.lists(st.tuples(st.integers(min_value=-3 * n, max_value=3 * n), coeff), max_size=5))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(terms) - 1), max_size=3)) if terms else []
+    shifts = st.integers(min_value=-2, max_value=2)
+    terms += [(terms[i][0] + draw(shifts) * n, -terms[i][1]) for i in picks]
+    return n, draw(st.permutations(terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_terms())
+@example((5, [(0, 1), (1, Fraction(1, 3)), (2, Fraction(-1, 4))]))
+@example((7, [(1, Fraction(1, 2)), (8, Fraction(-1, 2)), (-6, 3), (15, -3)]))
+@example((12, [(13, 2), (1, Fraction(-3, 2)), (-11, Fraction(5, 6)), (0, 0)]))
+def test_from_terms_matches_reference_on_mixed_and_cancelling_terms(case):
+    n, terms = case
+    assert pair(from_terms(n, terms)) == ref.from_terms(n, terms)
+    assert pair(from_terms(n, iter(terms))) == ref.from_terms(n, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    operands(count=3),
+    st.lists(st.integers(min_value=-3, max_value=5), min_size=3, max_size=3),
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+)
+@example((12, [(4, [(1, 1)]), (3, [(1, Fraction(1, 2))]), (12, [(5, 2)])]), [1, 2, 3], 6,
+         [False, True, False, False, False, True])
+def test_hermitian_sum_matches_the_reference_fold(ops, weights, den, zeros):
+    """Zero entries on either side and den >= 1, against the reference kernel's
+    mul, galois(., -1) and weighted_sum; b is a reversed copy of the operands."""
+    values = [build(m, terms) for m, terms in ops[1]]
+    a = [ZERO if z else v for z, v in zip(zeros[:3], values)]
+    b = [ZERO if z else v for z, v in zip(zeros[3:], values[::-1])]
+    products = [ref.mul(pair(x), ref.galois(pair(y), -1)) for x, y in zip(a, b)]
+    assert pair(hermitian_sum(a, b, weights, den)) == ref.weighted_sum(products, weights, den)
+    assert pair(hermitian_sum(a, b, weights)) == ref.weighted_sum(products, weights, 1)
+    assert hermitian_sum([], [], [], den) == hermitian_sum([ZERO], a[:1], [1], den) == ZERO
 
 
 @settings(max_examples=200, deadline=None)

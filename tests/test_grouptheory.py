@@ -9,6 +9,7 @@ from refartin.grouptheory import (
     GroupOrderError,
     GroupValidationError,
     MAX_SUBGROUPS,
+    abelian_group,
     abelian_irreducibles,
     all_subgroups,
     build_group,
@@ -55,6 +56,23 @@ def test_table_axiom_checks():
     bad[1][1] = 1  # now 1*1 = 1 but 1*2 = 0: not a group
     with pytest.raises(GroupValidationError):
         group_from_table(bad)
+
+
+@pytest.mark.parametrize("k", [10, 3000])
+def test_abelian_invariants_one_add_no_cache_entry(k):
+    """A factor Z/1 adds a constant coordinate only: the spec gives the [2]
+    group object itself, and the cache does not grow with the ones."""
+    c2 = build_group({"abelian": [2]})
+    size = abelian_group.cache_info().currsize
+    assert build_group({"abelian": [1] * k + [2]}) is c2
+    assert build_group({"abelian": [2] + [1] * k}) is c2
+    assert abelian_group.cache_info().currsize == size
+    trivial = build_group({"abelian": [1]})
+    assert build_group({"abelian": [1] * k}) is trivial and trivial.order == 1
+    assert abelian_group((1, 2, 1, 3)).table == build_group({"abelian": [2, 3]}).table
+    for bad in ([], [1] * k + [0], [1, -2, 1]):
+        with pytest.raises(GroupValidationError):
+            build_group({"abelian": bad})
 
 
 # the groups of the CLI group jobs: S3, D4, Q8, A4 and eight abelian groups
