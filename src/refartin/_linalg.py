@@ -1,14 +1,19 @@
-"""Exact linear algebra kernels: integer lattice kernels on plain Python
-ints, and one valuation of a determinant over any discrete valuation ring
-whose caller encodes the rows and their operations modulo a power of the
-uniformizer: Z_p with a row packed into one int for the monogenic oracle,
-Q(zeta_n)[[pi]] with list rows for the tame one.  There are no field
-routines: the tame oracle reads its invariant lattice off a diagonal.
+"""Exact linear algebra kernels on plain Python ints: integer lattice
+kernels, and ``nu_p_det``, the p-adic valuation of a determinant, read by
+elimination modulo a power of p with each row packed into one int.  There
+are no field routines: the tame oracle reads its invariant lattice and its
+determinant off a diagonal.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+from array import array
+from operator import mul
 from typing import Sequence
+
+from .cyclotomic import split_p
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
@@ -46,41 +51,73 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
     return [tuple(r[m:]) for r in work[pivot_row:]]
 
 
-def valuation_det(mat: Sequence[Sequence], bound: int, ring) -> int | None:
-    """nu(det mat) over a discrete valuation ring, or None when det mat = 0.
+def nu_p_det(mat: Sequence[Sequence[int]], p: int) -> int | None:
+    """nu_p(det mat) of a square integer matrix, or None when det mat = 0.
 
-    Elimination on full pivots of least valuation modulo pi^k, pi a
-    uniformizer, for k = 4, 8, 16, ...; ``mat`` is not modified.  Rows are
-    opaque here: ``ring(mat, k)`` is (rows, low, pivot), the rows encoded mod
-    pi^k; ``low(row)`` is (v, j), the least valuation v < k of an entry and
-    a column j where it occurs, or None when the row vanishes mod pi^k;
-    ``pivot(prow, v, j)`` is the function clearing a row against the pivot
-    row: the row minus a multiple of prow, times at most a unit, with column
-    j zero mod pi^k (unchanged if it was); cleared columns stay in place.
-    The steps are invertible over the ring, so the Smith invariants d_i come
-    out as min(d_i, k) (Cohen, GTM 138, 2.4), and the pivot valuations sum to
-    nu(det) unless the remaining block vanishes.  Then k doubles; past
-    ``bound``, which nu(det) does not exceed when det != 0, the matrix is
-    singular.
+    Elimination on full pivots of least valuation modulo q = p^k, for k = 4,
+    8, 16, ...; ``mat`` is not modified.  A row is cleared as the row minus a
+    multiple of the pivot row, with the pivot column zero mod q; cleared
+    columns stay in place.  The steps are invertible over Z_p, so the Smith
+    invariants d_i come out as min(d_i, k) (Cohen, GTM 138, 2.4), and the
+    pivot valuations sum to nu_p(det) unless the remaining block vanishes.
+    Then k doubles; past Hadamard's bound, nu_p(det) <= log_p prod |row|
+    when det != 0, the matrix is singular.
+
+    Each row is one int: entry j, nonnegative, in the w-byte slot j
+    (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009).  Rows start
+    reduced mod q, and a clear adds c prow, c < q, with prow reduced mod q
+    when chosen: a slot grows by less than q^2 per clear, fewer than m
+    times, and q + m q^2 < 2^(8 w), so nothing carries.  Slots are read
+    unreduced: gcd(q, x) = p^v and x mod p^(v+1) do not see multiples of q.
     """
+    m = len(mat)
+    bound = math.prod(sum(map(mul, r, r)) for r in mat).bit_length() // (2 * p.bit_length() - 2)
     k = 4
     while True:
-        (rows, low, pivot), total, v = ring(mat, k), 0, 0
+        q = p**k
+        w = 8 * -(-(q + m * q * q).bit_length() // 64)
+        size, bits, mask = m * w, 8 * w, (1 << 8 * w) - 1
+        if w == 8 and sys.byteorder == "little":
+
+            def unpack(row):
+                return memoryview(row.to_bytes(size, "little")).cast("Q")
+
+            def pack(xs):
+                return int.from_bytes(array("Q", [x % q for x in xs]), "little")
+
+        else:
+
+            def unpack(row):
+                b = row.to_bytes(size, "little")
+                return [int.from_bytes(b[i:i + w], "little") for i in range(0, size, w)]
+
+            def pack(xs):
+                return int.from_bytes(b"".join((x % q).to_bytes(w, "little") for x in xs), "little")
+
+        rows, total, v = [pack(row) for row in mat], 0, 0
         while rows:
             best = None
             for i, row in enumerate(rows):
-                vj = low(row)
-                if vj is not None and (best is None or vj < best[1]):
+                xs = unpack(row)
+                g = math.gcd(q, *xs)
+                if g == q:  # the row vanishes mod q
+                    continue
+                vj = split_p(g, p)[0], next(j for j, x in enumerate(xs) if x % (g * p))
+                if best is None or vj < best[1]:
                     best = i, vj
                     if vj[0] == v:  # no entry left has a smaller valuation
                         break
             if best is None:
                 break
             i, (v, j) = best
-            clear = pivot(rows.pop(i), v, j)
+            prow, pv, shift = pack(unpack(rows.pop(i))), p**v, j * bits
+            u = pow((prow >> shift & mask) // pv, -1, q)
             total += v
             for i, row in enumerate(rows):  # in place: a replaced row is freed at once
-                rows[i] = clear(row)
+                # c = -row[j] / prow[j] mod q, so that the slots stay nonnegative
+                x = row >> shift & mask
+                if x % q:
+                    rows[i] = row + (-(x // pv) * u % q) * prow
         else:
             return total
         if k > bound:

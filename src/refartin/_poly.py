@@ -11,8 +11,7 @@ polynomial keeps integer input integer (``pdivmod``, ``pmod``,
 ``pexact_div``).  An integer divisor that is not monic raises
 ArithmeticError; a float never appears.  Nothing here inverts modulo a
 polynomial, takes a resultant or forms a determinant: the oracles read
-valuations only, through ``plow_order`` in the tame ring Q(zeta_n)[[pi]]
-and through ``_linalg.valuation_det``.
+valuations only, the monogenic one through ``_linalg.nu_p_det``.
 """
 
 from __future__ import annotations
@@ -104,10 +103,3 @@ def pcompose(a: Sequence, b: Sequence) -> tuple:
         out = padd(pmul(out, b), (c,) if c else ())
     return out
 
-
-def plow_order(a: Sequence) -> int:
-    """Index of the lowest nonzero coefficient; raises on the zero polynomial."""
-    for i, c in enumerate(a):
-        if c:
-            return i
-    raise ArithmeticError("zero polynomial has no finite order")

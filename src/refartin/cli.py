@@ -87,8 +87,9 @@ EXIT_COMPUTE_ERROR = 3
 FORMAT_VERSION = 1
 
 # oracle tame admission limits: the invariant lattice is read off a diagonal
-# of side N times the number of exponents; the largest admitted job, N = 200
-# with 8 exponents, takes about 0.1 s wall (2-vCPU VM, CPython 3.11)
+# of side N times the number of exponents; N = 200 with 8 exponents takes
+# under 1 ms in process, and 0.09 s wall like `oracle tame 5 2` (interpreter
+# start and import; 2-vCPU VM, CPython 3.11)
 TAME_MAX_DEGREE = 200
 TAME_MAX_EXPONENTS = 8
 

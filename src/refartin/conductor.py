@@ -51,7 +51,7 @@ from .ramification import (
     bar_n,
     discriminant_valuation,
     power_character,
-    quotient_data,
+    projected_data,
     refined_artin,
     refined_artin_upper,
     subgroup_data,
@@ -311,15 +311,16 @@ def verify_suite(r: RamificationData, *, advisory: bool = False) -> ConductorRep
     subs = all_subgroups(r.gamma)
     normals = [s for s in subs if s.is_normal()]
 
-    # pushforward to quotients; both sides live on tables built by quotient
+    # pushforward to quotients; both sides read the one projection quotient builds
     for nsub in normals:
         name, inputs = "quotient-pushforward", f"N={list(nsub.members)}"
+        proj = quotient(r.gamma, nsub)[1]
         try:
-            rhs = refined_artin(quotient_data(r, nsub))
+            rhs = refined_artin(projected_data(r, proj))
         except RamificationError as ex:
             add(name, inputs, "admissible quotient", f"error: {ex}", prop_binding)
             continue
-        add(name, inputs, rhs, pushforward(quotient(r.gamma, nsub)[1], bar), prop_binding)
+        add(name, inputs, rhs, pushforward(proj, bar), prop_binding)
 
     # restriction to subgroups, conductor-discriminant, Weil restriction
     bar_avg = refined_artin(r, averaged=True)

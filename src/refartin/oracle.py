@@ -15,14 +15,13 @@ Two exact models, independent of the character-pairing route:
   g^0, ..., g^e of each Galois map, computed once per order.
 
 Both oracles compute c_lin(M) = nu_K(det phi) where phi is the multiplication
-map (M (x) O_L)^Gamma (x) O_L -> M (x) O_L.  The invariant lattice is read
-off the diagonal of sigma - 1 in the tame model and found as a saturated
-integer kernel, by unimodular reduction, in the monogenic one.  Both read
-nu(det phi), never det phi, from the one least-valuation elimination
-``_linalg.valuation_det``: over Q(zeta_n)[[pi]] modulo pi^k in the tame
-model, and over Z_p modulo p^k, each row packed into one int, in the
-monogenic one, as nu_p of the integer norm determinant (phi as a Z-linear
-map): nu_p(N_{L/Q_p} y) = nu_L(y).
+map (M (x) O_L)^Gamma (x) O_L -> M (x) O_L.  In the tame model the invariant
+lattice is read off the diagonal of sigma - 1, and phi's matrix over O_L is
+then diagonal, so nu_L(det phi) is the sum of its entries' valuations.  In
+the monogenic one the invariant lattice is a saturated integer kernel, found
+by unimodular reduction, and nu_L(det phi) is nu_p of the integer norm
+determinant (phi as a Z-linear map), nu_p(N_{L/Q_p} y) = nu_L(y), read by
+``_linalg.nu_p_det`` without forming the determinant.
 
 The monogenic model also extracts lower-numbering ramification filtrations,
 i_Gamma(sigma) = nu_L(sigma(x) - x), and tame characters.  Matching the
@@ -35,14 +34,12 @@ different choices yield Galois-conjugate tame characters.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._linalg import integer_kernel, valuation_det
-from ._poly import plow_order, pmod, pmul, psub, ptrim
+from ._linalg import integer_kernel, nu_p_det
+from ._poly import pmod
 from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, split_p, unit_powers
 from .grouptheory import FiniteGroup, compared_fields, generators, group_from_table
 from .ramification import OracleError, RamificationData, build_ramification
@@ -84,92 +81,13 @@ class TameModel(_TameModelFields):
         return basis
 
     def clin(self, exponents: Sequence[int]) -> Fraction:
-        """nu_K(det phi) = (1/n) nu_L(det phi) for the diagonal action."""
-        n, d = self.n, len(exponents)
-        basis = self.invariant_basis(exponents)
-        # phi matrix over O_L = Q(zeta_n)[pi]: column k lists the O_L
-        # coordinates of the k-th invariant vector
-        mat = [[ptrim(basis[k][j * n:(j + 1) * n]) for k in range(d)] for j in range(d)]
-        # nu(det) <= deg det <= the sum of the rows' degrees
-        v = valuation_det(mat, sum(max(map(len, row)) for row in mat), _series_ring)
-        if v is None:
-            raise OracleError("base-change map is not injective")
-        return Fraction(v, n)
+        """nu_K(det phi) = (1/n) nu_L(det phi) for the diagonal action.
 
-
-# Q(zeta_n)[[pi]] for valuation_det: rows are lists of polynomials, the
-# valuation is plow_order, division by pi^v a shift, and a row is cleared
-# as u row - c prow with the unit u = prow[j] / pi^v, which needs no inverse
-def _series_ring(mat: Sequence[Sequence[tuple]], k: int):
-    def low(row):
-        vj = min(((plow_order(x), j) for j, x in enumerate(row) if x), default=(k,))
-        return vj if vj[0] < k else None
-
-    def pivot(prow, v, j):
-        u = prow[j][v:]
-
-        def clear(row):
-            c = row[j][v:]
-            return [ptrim(psub(pmul(u, x), pmul(c, y))[:k]) for x, y in zip(row, prow)] if c else row
-
-        return clear
-
-    return [list(row) for row in mat], low, pivot
-
-
-def _nu_p_det(rows: list[list[int]], p: int) -> int | None:
-    """nu_p(det) of a square integer matrix, or None when det = 0, by
-    ``valuation_det`` over Z_p modulo p^k.  Hadamard's bound gives
-    nu_p(det) <= log_p prod |row| when det != 0."""
-    bound = math.prod(sum(map(mul, r, r)) for r in rows).bit_length() // (2 * p.bit_length() - 2)
-    return valuation_det(rows, bound, lambda mat, k: _packed_ring(mat, p, p**k))
-
-
-def _packed_ring(mat: Sequence[Sequence[int]], p: int, q: int):
-    """Z_p modulo q = p^k for valuation_det, each row packed into one int:
-    entry j, nonnegative, in the w-byte slot j (Kronecker substitution;
-    Harvey, J. Symb. Comput. 44, 2009).  Rows start reduced mod q, and a
-    clear adds c prow, c < q, with prow reduced mod q when chosen: a slot
-    grows by less than q^2 per clear, fewer than m times, and q + m q^2 <
-    2^(8 w), so nothing carries.  Slots are read unreduced: gcd(q, x) = p^v
-    and x mod p^(v+1) do not see multiples of q."""
-    m = len(mat)
-    w = 8 * -(-(q + m * q * q).bit_length() // 64)
-    size, bits = m * w, 8 * w
-    if w == 8 and sys.byteorder == "little":
-
-        def unpack(row):
-            return memoryview(row.to_bytes(size, "little")).cast("Q")
-
-        def pack(xs):
-            return int.from_bytes(array("Q", [x % q for x in xs]), "little")
-
-    else:
-
-        def unpack(row):
-            b = row.to_bytes(size, "little")
-            return [int.from_bytes(b[i:i + w], "little") for i in range(0, size, w)]
-
-        def pack(xs):
-            return int.from_bytes(b"".join((x % q).to_bytes(w, "little") for x in xs), "little")
-
-    def low(row):
-        xs = unpack(row)
-        g = math.gcd(q, *xs)
-        return None if g == q else (split_p(g, p)[0], next(j for j, x in enumerate(xs) if x % (g * p)))
-
-    def pivot(prow, v, j):
-        prow, pv, shift, mask = pack(unpack(prow)), p**v, j * bits, (1 << bits) - 1
-        u = pow((prow >> shift & mask) // pv, -1, q)
-
-        def clear(row):
-            # c = -row[j] / prow[j] mod q, so that the slots stay nonnegative
-            x = row >> shift & mask
-            return row + (-(x // pv) * u % q) * prow if x % q else row
-
-        return clear
-
-    return [pack(row) for row in mat], low, pivot
+        The invariant vector for e_j is e_j (x) pi^(a_j), and phi maps it to
+        pi^(a_j) e_j: phi's matrix over O_L is diag(pi^(a_j)), and nu_L of a
+        diagonal determinant is the sum of the entries' valuations."""
+        n = self.n
+        return Fraction(sum(v.index(ONE) % n for v in self.invariant_basis(exponents)), n)
 
 
 def oracle_tame_clin(n: int, exponents: Sequence[int]) -> Fraction:
@@ -368,7 +286,7 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
     # row (k, b) lists the coordinates of x^b v_k on the Z-basis e_j x^a:
     # the transpose of phi's matrix, with the same determinant
     rows = [row for v in kernel for row in _x_shifts(list(v), order.f)]
-    v = _nu_p_det(rows, order.p)
+    v = nu_p_det(rows, order.p)
     if v is None:
         raise OracleError("base-change map is not injective")
     return Fraction(v, e)

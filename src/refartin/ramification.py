@@ -31,6 +31,7 @@ from .cyclotomic import frobenius_average, from_terms, is_prime, roots_of_unity,
 from .grouptheory import (
     ClassFunction,
     FiniteGroup,
+    GroupHom,
     Subgroup,
     combine,
     compared_fields,
@@ -435,7 +436,11 @@ def quotient_data(r: RamificationData, normal: Subgroup) -> RamificationData:
     """
     if normal.parent != r.gamma:
         raise RamificationError("subgroup belongs to a different group")
-    q, proj = quotient(r.gamma, normal)
+    return projected_data(r, quotient(r.gamma, normal)[1])
+
+
+def projected_data(r: RamificationData, proj: GroupHom) -> RamificationData:
+    """``quotient_data`` for the quotient given by its projection from Gamma."""
     images = [sorted({proj.mapping[g] for g in s.members}) for s in r.subgroups]
     top, q0 = len(images) - 1, len(images[0])
     bounds = [Fraction(0)]  # U_0, U_1, ..., U_L
@@ -452,7 +457,7 @@ def quotient_data(r: RamificationData, normal: Subgroup) -> RamificationData:
     tame = None
     if n_q > 1:
         tame = (proj.mapping[r.tame_generator], r.tame_exponent % n_q)
-    return build_ramification(q, filtration, r.p, tame)
+    return build_ramification(proj.target, filtration, r.p, tame)
 
 
 # ---------------------------------------------------------------------------

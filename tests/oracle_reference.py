@@ -8,9 +8,10 @@ kept only as independent oracles for the current ones:
   coefficients and nu_p taken of a rational.  The oracle now reads nu_L(y)
   off the coefficients of y on the basis 1, x, ..., x^(e-1).
 * ``bareiss_det`` with ``int_step`` and ``poly_step``: both oracles took the
-  full determinant by fraction-free elimination.  They now read its
-  valuation by least-valuation elimination modulo a power of a uniformizer
-  (``_linalg.valuation_det``).
+  full determinant by fraction-free elimination.  The monogenic oracle now
+  reads its valuation by least-valuation elimination modulo p^k
+  (``_linalg.nu_p_det``), and the tame one sums the valuations of the
+  diagonal entries of phi's matrix over Q(zeta_n)[pi].
 * ``field_kernel``: the kernel basis read off the reduced row echelon form,
   every pivot row normalized at once.  The tame oracle took its invariant
   lattice by field elimination on the dense diagonal matrix of sigma - 1; it

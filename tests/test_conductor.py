@@ -18,12 +18,15 @@ from refartin.fixtures import mixed_c6, quad_sqrt2, tame_cyclic
 from refartin.grouptheory import (
     ClassFunction,
     all_subgroups,
+    build_group,
     cyclic_group,
     pair,
+    quotient,
     standard_characters,
     subgroup,
 )
 from refartin.ramification import (
+    build_ramification,
     discriminant_valuation,
     p_average,
     power_character,
@@ -272,6 +275,30 @@ def test_verify_suite_computes_each_conductor_once(monkeypatch):
     # only the subextension data are checked for repeats
     on_subdata = [call for call in calls if call[0] != r]
     assert on_subdata and len(set(on_subdata)) == len(on_subdata)
+
+
+@pytest.mark.parametrize("data", [
+    mixed_c6,
+    lambda: build_ramification(build_group({"abelian": [2, 2, 2]}), [list(range(8))] * 2, 2),
+], ids=["mixed-c6", "abelian-2-2-2"])
+def test_verify_suite_builds_one_quotient_per_normal_subgroup(monkeypatch, data):
+    """The quotient-pushforward identity reads both of its sides off one
+    projection per normal subgroup."""
+    import sys
+
+    calls = []
+
+    def counting(parent, normal):
+        calls.append(normal.members)
+        return quotient(parent, normal)
+
+    for name in ("refartin.grouptheory", "refartin.ramification", "refartin.conductor"):
+        monkeypatch.setattr(sys.modules[name], "quotient", counting)
+    r = data()
+    normals = [s.members for s in all_subgroups(r.gamma) if s.is_normal()]
+    rep = verify_suite(r)
+    assert sorted(calls) == sorted(normals)
+    assert sum(rec.name == "quotient-pushforward" for rec in rep.records) == len(normals)
 
 
 def _count_p_average(monkeypatch) -> list:

@@ -16,7 +16,7 @@ from refartin.fixtures import (
 from refartin.cyclotomic import ONE, ZERO, roots_of_unity
 from refartin.grouptheory import generators, standard_characters
 import refartin.oracle as oracle
-from refartin._linalg import valuation_det
+from refartin._linalg import nu_p_det
 from refartin._poly import pcompose, pmod, ptrim
 from refartin.oracle import (
     OracleError,
@@ -73,6 +73,25 @@ def test_invariant_basis_is_the_kernel_of_the_dense_diagonal(case):
     for r, row in enumerate(dense):
         row[r] = roots[(exponents[r // n] + r) % n] - ONE
     assert TameModel(n).invariant_basis(exponents) == field_kernel(dense, ONE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(-2 * n, 2 * n), max_size=3))))
+@example((1, []))
+@example((8, [-16, 16, 0]))
+@example((7, [-1, 13, 6]))
+def test_tame_clin_matches_the_reference_determinant(case):
+    """n clin is the lowest pi-power of det phi over O_L = Q(zeta_n)[pi], with
+    phi's matrix built from the invariant basis (column k the O_L
+    coordinates of the k-th invariant vector) and its determinant taken by
+    the reference Bareiss elimination."""
+    n, exponents = case
+    model, d = TameModel(n), len(exponents)
+    basis = model.invariant_basis(exponents)
+    mat = [[ptrim(basis[k][j * n:(j + 1) * n]) for k in range(d)] for j in range(d)]
+    det = bareiss_det(mat, poly_step, (ONE,))
+    assert det and next(i for i, c in enumerate(det) if c) == n * model.clin(exponents)
 
 
 # -- monogenic model ----------------------------------------------------------------
@@ -173,11 +192,11 @@ def test_norm_determinant_is_the_norm_of_the_O_L_determinant(monkeypatch, order)
     oracle's value is its nu_L over e."""
     captured = []
 
-    def spy(mat, bound, ring):
-        captured.append((mat, valuation_det(mat, bound, ring)))
+    def spy(mat, p):
+        captured.append((mat, nu_p_det(mat, p)))
         return captured[-1][1]
 
-    monkeypatch.setattr(oracle, "valuation_det", spy)
+    monkeypatch.setattr(oracle, "nu_p_det", spy)
     e, g = order.degree, order.group.order
     modules = [regular_action(order.group), [[[1]]] * g]
     if g == 2:
@@ -221,7 +240,7 @@ def test_nu_p_det_matches_the_reference_determinant(case):
     a singular matrix gives None."""
     p, mat = case
     det = bareiss_det(mat, int_step, 1)
-    assert oracle._nu_p_det(mat, p) == (val_p(det, p) if det else None)
+    assert nu_p_det(mat, p) == (val_p(det, p) if det else None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,7 +254,7 @@ def test_wide_slots_match_the_reference_determinant(case):
     """p = 1009 and p = 10^9 + 7 need slots of 16 and 32 bytes at k = 4."""
     p, mat = case
     det = bareiss_det(mat, int_step, 1)
-    assert oracle._nu_p_det(mat, p) == (val_p(det, p) if det else None)
+    assert nu_p_det(mat, p) == (val_p(det, p) if det else None)
 
 
 def saturating_matrix(p: int, m: int) -> list[list[int]]:
@@ -258,7 +277,7 @@ def test_slots_at_their_bound_match_the_reference_determinant(m):
     p = 211
     mat = saturating_matrix(p, m)
     assert val_p(bareiss_det(mat, int_step, 1), p) == 2
-    assert oracle._nu_p_det(mat, p) == 2
+    assert nu_p_det(mat, p) == 2
 
 
 # -- valuations ------------------------------------------------------------------------
