@@ -11,7 +11,7 @@ polynomial keeps integer input integer (``pdivmod``, ``pmod``,
 ``pexact_div``).  An integer divisor that is not monic raises
 ArithmeticError; a float never appears.  Nothing here inverts modulo a
 polynomial, takes a resultant or forms a determinant: the oracles read
-valuations only, the monogenic one through ``_linalg.nu_p_det``.
+valuations only, the monogenic one through ``_linalg.eliminate``.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ Both oracles compute c_lin(M) = nu_K(det phi) where phi is the multiplication
 map (M (x) O_L)^Gamma (x) O_L -> M (x) O_L.  In the tame model the invariant
 lattice is read off the diagonal of sigma - 1, and phi's matrix over O_L is
 then diagonal, so nu_L(det phi) is the sum of its entries' valuations.  In
-the monogenic one the invariant lattice is a saturated integer kernel, found
-by unimodular reduction, and nu_L(det phi) is nu_p of the integer norm
-determinant (phi as a Z-linear map), nu_p(N_{L/Q_p} y) = nu_L(y), read by
-``_linalg.nu_p_det`` without forming the determinant.
+the monogenic one nu_L(det phi) is nu_p of the integer norm determinant
+(phi as a Z-linear map), nu_p(N_{L/Q_p} y) = nu_L(y), and both the
+invariant lattice over Z_p and that valuation come from one elimination,
+``_linalg.eliminate``, at one precision p^k; the determinant is never formed.
 
 The monogenic model also extracts lower-numbering ramification filtrations,
 i_Gamma(sigma) = nu_L(sigma(x) - x), and tame characters.  Matching the
@@ -38,7 +38,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._linalg import integer_kernel, nu_p_det
+from ._linalg import eliminate, hadamard_exponent
 from ._poly import pmod
 from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, split_p, unit_powers
 from .grouptheory import FiniteGroup, compared_fields, generators, group_from_table
@@ -240,11 +240,31 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
     representation is checked as rho(a) rho(s) = rho(as) for every element a
     and every s in a generating set, which gives rho(a) rho(b) = rho(ab) for
     every pair by induction on the length of b as a word in the generators.
-    The invariant lattice is the integer kernel of the stacked
-    (sigma (x) sigma - 1) matrices over the same generators (saturated by
-    construction).  nu_L(det phi) is nu_p of the integer norm determinant:
-    the determinant of phi as a Z-linear map, on the Z-basis v_k x^b (b < e)
-    of its source, with x^b v_k reduced mod f.
+
+    The invariant lattice K is the kernel of the stacked (sigma (x) sigma -
+    1) matrices over the same generators.  nu_L(det phi) is nu_p of the
+    integer norm determinant: the determinant of phi as a Z-linear map, on
+    the Z-basis v_k x^b (b < e) of its source, with x^b v_k reduced mod f.
+    It depends on K only through K (x) Z_p, since a change of basis that is
+    invertible over Z_p moves the determinant by a p-adic unit.  Both come
+    from ``_linalg.eliminate`` at one precision q = p^k, k = 4, 8, 16, ...:
+
+    * kernel: the stack's columns, each followed by its unit vector, are
+      eliminated on the stack's slots.  With pivot valuations va, the rows
+      left span K (x) Z_p modulo p^(k - max va) once every Smith invariant
+      of the stack is below k, that is once d rows are left;
+    * determinant: the norm rows of those d vectors are eliminated at the
+      same k, with pivot valuations vn.  They differ from the norm rows of
+      a basis of K (x) Z_p by p^j E, j = k - max va, and a perturbation by
+      p^j leaves the Smith form unchanged when every invariant is below j.
+      So sum vn is exact when every row pivots and max vn + max va < k.
+
+    Otherwise k doubles.  The loop ends on validated input by Speiser's
+    lemma: L = Q[x]/(f) is Galois over Q with group Gamma, so (M (x) L)^Gamma
+    (x) L = M (x) L, K has rank d and det phi != 0; there is no singular
+    case to detect.  The rank check stays as a guard: when the count of rows
+    left is not d, it is exact once k passes Hadamard's bound on the stack's
+    columns, since every invariant is then below k.
     """
     e = order.degree
     grp = order.group
@@ -261,35 +281,33 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
         for s in gens:
             if _mat_mul(mats[a], mats[s]) != mats[grp.table[a][s]]:
                 raise OracleError("action matrices do not define a representation")
-    # stacked (B_sigma - 1) over generators sigma, B = A (x) S
-    stacked: list[list[int]] = []
-    dim = d * e
-    for s in gens:
-        smat = order.sigma_matrix(s)
-        amat = mats[s]
-        for j2 in range(d):
-            for a2 in range(e):
-                row = [0] * dim
-                for j in range(d):
-                    if amat[j2][j] == 0:
-                        continue
-                    for a in range(e):
-                        row[j * e + a] += amat[j2][j] * smat[a2][a]
-                row[j2 * e + a2] -= 1
-                stacked.append(row)
-    kernel = integer_kernel(stacked, dim)
-    if len(kernel) != d:
-        raise OracleError(
-            f"invariant lattice rank {len(kernel)} differs from module rank {d}; "
-            "the action is not through a finite quotient compatible with the order"
-        )
-    # row (k, b) lists the coordinates of x^b v_k on the Z-basis e_j x^a:
-    # the transpose of phi's matrix, with the same determinant
-    rows = [row for v in kernel for row in _x_shifts(list(v), order.f)]
-    v = nu_p_det(rows, order.p)
-    if v is None:
-        raise OracleError("base-change map is not injective")
-    return Fraction(v, e)
+    # column (j, a) of the stacked B_sigma - 1 over generators sigma, with
+    # B = A (x) S, followed by its unit vector
+    blocks, dim = [(mats[s], list(zip(*order.sigma_matrix(s)))) for s in gens], d * e
+    width, cols = len(blocks) * dim, []
+    for i in range(dim):
+        j, a = divmod(i, e)
+        col = []
+        for amat, scols in blocks:
+            col += [x * amat[j2][j] for j2 in range(d) for x in scols[a]]
+            col[len(col) - dim + i] -= 1
+        cols.append(col + [0] * i + [1] + [0] * (dim - 1 - i))
+    k = 4
+    while True:
+        va, rest = eliminate(cols, order.p, k, width)
+        if len(rest) == d:
+            # row (k, b) lists the coordinates of x^b v_k on the Z-basis
+            # e_j x^a: the transpose of phi's matrix, with the same determinant
+            rows = [row for v in rest for row in _x_shifts(v, order.f)]
+            vn, left = eliminate(rows, order.p, k, dim)
+            if not left and max(vn, default=0) + max(va, default=0) < k:
+                return Fraction(sum(vn), e)
+        elif k > hadamard_exponent([c[:width] for c in cols], order.p):
+            raise OracleError(
+                f"invariant lattice rank {len(rest)} differs from module rank {d}; "
+                "the action is not through a finite quotient compatible with the order"
+            )
+        k *= 2
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -10,8 +10,13 @@ kept only as independent oracles for the current ones:
 * ``bareiss_det`` with ``int_step`` and ``poly_step``: both oracles took the
   full determinant by fraction-free elimination.  The monogenic oracle now
   reads its valuation by least-valuation elimination modulo p^k
-  (``_linalg.nu_p_det``), and the tame one sums the valuations of the
+  (``_linalg.eliminate``), and the tame one sums the valuations of the
   diagonal entries of phi's matrix over Q(zeta_n)[pi].
+* ``integer_kernel``: the monogenic oracle took its invariant lattice as the
+  saturated integer kernel of the sigma (x) sigma - 1 stack, by Euclidean
+  row reduction over Z.  It now runs the same least-valuation elimination
+  over Z_p on the stack's columns and keeps the rows left over, a basis of
+  the kernel tensor Z_p modulo a power of p.
 * ``field_kernel``: the kernel basis read off the reduced row echelon form,
   every pivot row normalized at once.  The tame oracle took its invariant
   lattice by field elimination on the dense diagonal matrix of sigma - 1; it
@@ -131,3 +136,38 @@ def field_kernel(rows: list[list], one) -> list[list]:
             v[pc] = -rows[pr][fc]
         basis.append(v)
     return basis
+
+
+def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Basis of the right kernel {v in Z^ncols : A v = 0} of an integer matrix.
+
+    Kernels of integer matrices are saturated sublattices, so the returned
+    basis generates all integer solutions.  Computed by unimodular row
+    reduction of the transpose augmented with an identity block.
+    """
+    m = len(rows)
+    # work rows: i-th row = i-th column of A, augmented with e_i
+    work = [[rows[r][i] for r in range(m)] + [0] * ncols for i in range(ncols)]
+    for i in range(ncols):
+        work[i][m + i] = 1
+    pivot_row = 0
+    for col in range(m):
+        # clear column `col` below pivot_row down to a single nonzero entry
+        while True:
+            nz = [i for i in range(pivot_row, ncols) if work[i][col] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda i: abs(work[i][col]))
+            i0 = nz[0]
+            for i in nz[1:]:
+                q = work[i][col] // work[i0][col]
+                if q:
+                    wi, w0 = work[i], work[i0]
+                    for j in range(col, m + ncols):
+                        wi[j] -= q * w0[j]
+        nz = [i for i in range(pivot_row, ncols) if work[i][col] != 0]
+        if nz:
+            i0 = nz[0]
+            work[pivot_row], work[i0] = work[i0], work[pivot_row]
+            pivot_row += 1
+    return [tuple(r[m:]) for r in work[pivot_row:]]

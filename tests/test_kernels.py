@@ -1,13 +1,15 @@
 """The shared exact kernels: primality, closure, integer polynomials, and the
-reference fraction-free determinant and field kernel."""
+reference fraction-free determinant, field kernel and integer kernel."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import bareiss_det, field_kernel, int_step
+from oracle_reference import bareiss_det, field_kernel, int_step, integer_kernel
 from refartin._poly import padd, pcompose, pdivmod, pmod, pmul, ptrim
 from refartin.cyclotomic import ONE, closure, from_terms, is_prime
 from refartin.grouptheory import cyclic_group
@@ -132,3 +134,23 @@ def test_reference_field_kernel_is_the_rref_kernel_basis(case):
         sympy = pytest.importorskip("sympy")
         expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in mat]).nullspace()
         assert basis == [[Fraction(int(x.p), int(x.q)) for x in v] for v in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(st.integers(-6, 6)))
+@example([[2, 4, 6]])  # x = -2y - 3z: the basis must not be scaled by 2
+@example([[0, 0]])
+def test_reference_integer_kernel_is_a_saturated_kernel_basis(mat):
+    """Every vector is in the kernel, there are ncols - rank of them (sympy),
+    and their maximal minors have gcd 1, so they span every integer
+    solution."""
+    sympy = pytest.importorskip("sympy")
+    if not mat:
+        return
+    ncols = len(mat[0])
+    basis = integer_kernel(mat, ncols)
+    assert all(not sum(a * x for a, x in zip(row, v)) for v in basis for row in mat)
+    assert len(basis) == ncols - sympy.Matrix(mat).rank()
+    minors = [bareiss_det([[v[c] for c in cols] for v in basis], int_step, 1)
+              for cols in itertools.combinations(range(ncols), len(basis))]
+    assert math.gcd(*minors) == 1

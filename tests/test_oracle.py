@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import bareiss_det, field_kernel, int_step, poly_step, presultant, val_p
+from oracle_reference import (
+    bareiss_det,
+    field_kernel,
+    int_step,
+    integer_kernel,
+    poly_step,
+    presultant,
+    val_p,
+)
 from refartin.conductor import conductor, qp_irreducibles_cyclic, transport_to_cyclic
 from refartin.fixtures import (
     cyclotomic_tower_data,
@@ -13,10 +22,10 @@ from refartin.fixtures import (
     quad_order,
     real_cubic_order7,
 )
-from refartin.cyclotomic import ONE, ZERO, roots_of_unity
+from refartin.cyclotomic import ONE, ZERO, roots_of_unity, split_p
 from refartin.grouptheory import generators, standard_characters
 import refartin.oracle as oracle
-from refartin._linalg import nu_p_det
+from refartin._linalg import eliminate, hadamard_exponent
 from refartin._poly import pcompose, pmod, ptrim
 from refartin.oracle import (
     OracleError,
@@ -189,14 +198,15 @@ def test_norm_determinant_is_the_norm_of_the_O_L_determinant(monkeypatch, order)
     """|det_Z phi| = |N_{L/Q}(det_{O_L} phi)| = |Res(f, det_{O_L} phi)|, with
     both determinants taken by the reference Bareiss elimination and
     det_{O_L} phi taken independently over Q[x] and reduced mod f; the
-    oracle's value is its nu_L over e."""
-    captured = []
+    oracle's value is its nu_L over e.  The norm rows are the ones the oracle
+    accepted: those of its last ``eliminate`` call."""
+    calls = []
 
-    def spy(mat, p):
-        captured.append((mat, nu_p_det(mat, p)))
-        return captured[-1][1]
+    def spy(rows, p, k, width):
+        calls.append((rows, eliminate(rows, p, k, width)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(oracle, "nu_p_det", spy)
+    monkeypatch.setattr(oracle, "eliminate", spy)
     e, g = order.degree, order.group.order
     modules = [regular_action(order.group), [[[1]]] * g]
     if g == 2:
@@ -204,8 +214,9 @@ def test_norm_determinant_is_the_norm_of_the_O_L_determinant(monkeypatch, order)
     f = tuple(Fraction(c) for c in order.f)
     for action in modules:
         clin = oracle_monogenic_clin(order, action)
-        (rows, v), = captured
-        captured.clear()
+        rows, (vn, left) = calls[-1]
+        calls.clear()
+        assert not left and len(vn) == len(rows)
         det_z = bareiss_det(rows, int_step, 1)
         # rows k e (b = 0) of the norm matrix hold the kernel vector v_k itself
         d = len(rows) // e
@@ -213,8 +224,146 @@ def test_norm_determinant_is_the_norm_of_the_O_L_determinant(monkeypatch, order)
                 for k in range(d)] for j in range(d)]
         det_ol = pmod(bareiss_det(mat, poly_step, (Fraction(1),)), f)
         assert abs(det_z) == abs(presultant(f, det_ol)) != 0
-        assert v == val_p(det_z, order.p)
-        assert clin == Fraction(v, e) == Fraction(valuation_monogenic(order, det_ol), e)
+        assert sum(vn) == val_p(det_z, order.p)
+        assert clin == Fraction(sum(vn), e) == Fraction(valuation_monogenic(order, det_ol), e)
+
+
+def reference_clin(order, action) -> Fraction:
+    """c_lin by the earlier route: the saturated integer kernel of the
+    sigma (x) sigma - 1 stack over every group element, then the norm
+    determinant of the kernel basis by Bareiss over Z, and its nu_p."""
+    e = order.degree
+    d = len(action[0])
+    stack = []
+    for s, a in enumerate(action):
+        smat = order.sigma_matrix(s)
+        for j2 in range(d):
+            for a2 in range(e):
+                row = [a[j2][j] * smat[a2][b] for j in range(d) for b in range(e)]
+                row[j2 * e + a2] -= 1
+                stack.append(row)
+    kernel = integer_kernel(stack, d * e)
+    assert len(kernel) == d
+    rows = []
+    for v in kernel:
+        for b in range(e):
+            # x^b v, each block of e coordinates an element of Z[x]/(f)
+            shifted = [pmod((0,) * b + v[j * e:(j + 1) * e], order.f) for j in range(d)]
+            rows.append([c for blk in shifted for c in blk + (0,) * (e - len(blk))])
+    return Fraction(val_p(bareiss_det(rows, int_step, 1), order.p), e)
+
+
+DIFFERENTIAL_ORDERS = {"quad": quad_order(), "phi4": cyclotomic_tower_order(2, 2),
+                       "phi8": cyclotomic_tower_order(2, 3), "phi9": cyclotomic_tower_order(3, 2),
+                       "phi5": cyclotomic_tower_order(5, 1)}
+
+
+def stable_sublattice(order, v, a):
+    """The regular action on the Gamma-stable sublattice spanned by the
+    orbit of v and p^a Z^g, of index a power of p: B^-1 rho B with B the
+    Hermite normal form of those generators, checked integral."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    p, g = order.p, order.group.order
+    regular = regular_action(order.group)
+    gens = [[sum(map(int.__mul__, row, v)) for row in r] for r in regular]
+    gens += [[p**a * (i == j) for i in range(g)] for j in range(g)]
+    b = hermite_normal_form(sympy.Matrix(gens).T)
+    assert b.shape == (g, g) and split_p(abs(int(b.det())), p)[1] == 1
+    action = [(b.inv() * sympy.Matrix(m) * b).tolist() for m in regular]
+    assert all(x.is_integer for m in action for row in m for x in row)
+    return [[[int(x) for x in row] for row in m] for m in action]
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_ORDERS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_clin_of_stable_sublattices_matches_the_reference(name, data):
+    order = DIFFERENTIAL_ORDERS[name]
+    g = order.group.order
+    action = stable_sublattice(order, data.draw(st.lists(st.integers(-3, 3), min_size=g, max_size=g)),
+                               data.draw(st.integers(1, 2)))
+    assert oracle_monogenic_clin(order, action) == reference_clin(order, action)
+
+
+@pytest.mark.parametrize("name, v, clin", [("phi8", (0, 0, 1, 1), 3), ("phi9", (0, 0, 0, 0, 1, 1), Fraction(7, 2))])
+def test_sublattice_stack_with_a_pivot_of_valuation_one(monkeypatch, name, v, clin):
+    """On these sublattices of index p the kernel elimination has a pivot of
+    valuation 1, so the rows left are kernel vectors modulo p^3 only."""
+    order = DIFFERENTIAL_ORDERS[name]
+    calls = []
+
+    def spy(rows, p, k, width):
+        calls.append(eliminate(rows, p, k, width))
+        return calls[-1]
+
+    monkeypatch.setattr(oracle, "eliminate", spy)
+    action = stable_sublattice(order, v, 1)
+    assert oracle_monogenic_clin(order, action) == reference_clin(order, action) == clin
+    assert max(calls[0][0]) == 1
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_ORDERS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_clin_of_unimodular_conjugates_matches_the_reference(name, data):
+    """U^-1 rho U for U a product of elementary matrices I + c E_ij; c_lin
+    is the regular module's, since U is an isomorphism of Z[Gamma]-lattices."""
+    order = DIFFERENTIAL_ORDERS[name]
+    g = order.group.order
+    u = [[int(i == j) for j in range(g)] for i in range(g)]
+    u_inv = [row[:] for row in u]
+    steps = st.tuples(st.integers(0, g - 1), st.integers(0, g - 1), st.integers(-4, 4))
+    for i, j, c in data.draw(st.lists(steps.filter(lambda t: t[0] != t[1]), max_size=2 * g)):
+        # U <- U (I + c E_ij), U^-1 <- (I - c E_ij) U^-1
+        for row in u:
+            row[j] += c * row[i]
+        u_inv[i] = [x - c * y for x, y in zip(u_inv[i], u_inv[j])]
+    regular = regular_action(order.group)
+    action = [oracle._mat_mul(oracle._mat_mul(u_inv, a), u) for a in regular]
+    clin = oracle_monogenic_clin(order, action)
+    assert clin == reference_clin(order, action) == oracle_monogenic_clin(order, regular)
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_ORDERS))
+def test_clin_of_the_fixture_modules_matches_the_reference(name):
+    order = DIFFERENTIAL_ORDERS[name]
+    g = order.group.order
+    modules = [regular_action(order.group), [[[1]]] * g, [[]] * g]
+    for action in modules:
+        assert oracle_monogenic_clin(order, action) == reference_clin(order, action)
+
+
+def test_rank_check_raises_past_the_hadamard_bound(monkeypatch):
+    """A stack 2^10 I has no kernel, yet vanishes mod 2^4 and 2^8: the rank
+    is read only once k passes Hadamard's bound on its columns, and then
+    the error is raised instead of a value."""
+    order = quad_order()
+    monkeypatch.setattr(type(order), "sigma_matrix", lambda self, i: [[1025, 0], [0, 1025]])
+    ks = []
+
+    def spy(rows, p, k, width):
+        ks.append(k)
+        return eliminate(rows, p, k, width)
+
+    monkeypatch.setattr(oracle, "eliminate", spy)
+    with pytest.raises(OracleError, match="invariant lattice rank 0 differs from module rank 1"):
+        oracle_monogenic_clin(order, [[[1]], [[1]]])
+    assert ks == [4, 8, 16, 32] and hadamard_exponent([[1024, 0], [0, 1024]], 2) == 21
+
+
+def nu_p_det(mat, p):
+    """nu_p(det mat) of a square integer matrix by ``eliminate`` at k = 4, 8,
+    16, ..., or None once k passes Hadamard's bound with a row left."""
+    bound, k = hadamard_exponent(mat, p), 4
+    while True:
+        pivots, left = eliminate(mat, p, k, len(mat))
+        if not left:
+            return sum(pivots)
+        if k > bound:
+            return None
+        k *= 2
 
 
 @st.composite
@@ -278,6 +427,53 @@ def test_slots_at_their_bound_match_the_reference_determinant(m):
     mat = saturating_matrix(p, m)
     assert val_p(bareiss_det(mat, int_step, 1), p) == 2
     assert nu_p_det(mat, p) == 2
+
+
+@st.composite
+def stacks(draw):
+    """(p, k, A) for p in {2, 3}, k in {4, 8} and up to 4 integer rows of up
+    to 3 entries, each entry carrying a power of p up to p^5."""
+    p, n, w = draw(st.sampled_from([2, 3])), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    entry = st.tuples(st.integers(-9, 9), st.sampled_from([0, 0, 1, 2, 3, 5])).map(lambda t: t[0] * p**t[1])
+    return p, draw(st.sampled_from([4, 8])), [draw(st.lists(entry, min_size=w, max_size=w)) for _ in range(n)]
+
+
+def minors(mat, n):
+    """The maximal minors of mat, a list of rows of length n."""
+    return [bareiss_det([[row[c] for c in cols] for row in mat], int_step, 1)
+            for cols in itertools.combinations(range(n), len(mat))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks())
+@example((2, 4, [[2], [18]]))
+@example((3, 4, [[0, 0], [0, 0]]))
+@example((2, 8, [[4, 0, 32], [0, 96, 1]]))
+def test_rows_left_are_a_kernel_basis_modulo_p_to_k_minus_max_va(case):
+    """Rows of A, each with its unit vector, eliminated on A's slots.  The
+    pivots are at most the rank; when they reach it, the rows left, for j =
+    k - max va, are a basis of the saturated kernel {u : u A = 0} over Z_p
+    modulo p^j: with the reference kernel basis K each has every (d+1)-minor
+    divisible by p^j, K has a d-minor prime to p, and so have the rows left."""
+    p, k, a = case
+    n, width = len(a), len(a[0])
+    va, rest = eliminate([r + [int(i == j) for j in range(n)] for i, r in enumerate(a)], p, k, width)
+    kernel = [list(v) for v in integer_kernel([list(c) for c in zip(*a)], n)]
+    d = len(kernel)
+    assert len(va) + len(rest) == n and len(rest) >= d
+    if len(rest) == d:
+        j = k - max(va, default=0)
+        assert j >= 1 and all(x % p**j == 0 for u in rest for x in minors(kernel + [u], n))
+        assert any(x % p for x in minors(kernel, n)) and any(x % p for x in minors(rest, n))
+
+
+def test_rows_left_lose_the_pivot_valuation_in_precision():
+    """(2, 18) is (2, 2) mod 2^4: the row left is (15, 1), and with the true
+    kernel vector (-9, 1) its minor is -24, divisible by 2^(4 - 1) but not
+    by 2^4.  The oracle's acceptance rule charges max va for this."""
+    assert eliminate([[2, 1, 0], [18, 0, 1]], 2, 4, 1) == ([1], [[15, 1]])
+    assert integer_kernel([[2, 18]], 2) == [(-9, 1)]
+    assert minors([[-9, 1], [15, 1]], 2) == [-24]
 
 
 # -- valuations ------------------------------------------------------------------------
