@@ -98,8 +98,9 @@ TAME_MAX_EXPONENTS = 8
 # (Phi_13(x+1)) is the largest degree any fixture uses.  Entry size costs only
 # the representation check and the stack build: the worst admissible module,
 # rank 12 with entries at the 4,300-digit JSON limit (Phi_13(x+1)'s regular
-# module conjugated by I + 10^355 S, S the superdiagonal), takes 0.23 s in
-# process and 0.46 s wall from the CLI (2-vCPU VM, CPython 3.11)
+# module conjugated by I + 10^355 S, S the superdiagonal), takes 0.18 s in
+# process, 0.14 s of it in the big-int products of the representation check,
+# and 0.28 s wall from the CLI (2-vCPU Xeon VM, CPython 3.11)
 ORDER_MAX_DEGREE = 12
 
 # characters of a group of order m take values in Q(zeta_m) = Q(zeta_2m) (m odd),

@@ -19,9 +19,10 @@ map (M (x) O_L)^Gamma (x) O_L -> M (x) O_L.  In the tame model the invariant
 lattice is read off the diagonal of sigma - 1, and phi's matrix over O_L is
 then diagonal, so nu_L(det phi) is the sum of its entries' valuations.  In
 the monogenic one nu_L(det phi) is nu_p of the integer norm determinant
-(phi as a Z-linear map), nu_p(N_{L/Q_p} y) = nu_L(y), and both the
-invariant lattice over Z_p and that valuation come from one elimination,
-``_linalg.eliminate``, at one precision p^k; the determinant is never formed.
+(phi as a Z-linear map), nu_p(N_{L/Q_p} y) = nu_L(y); the invariant lattice
+over Z_p comes from ``_linalg.eliminate`` and that valuation from
+``_linalg.eliminate_ol``, pivoting over O_L, at one precision p^k; the
+determinant is never formed.
 
 The monogenic model also extracts lower-numbering ramification filtrations,
 i_Gamma(sigma) = nu_L(sigma(x) - x), and tame characters.  Matching the
@@ -38,7 +39,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._linalg import eliminate, hadamard_exponent
+from ._linalg import eliminate, eliminate_ol, hadamard_exponent
 from ._poly import pmod
 from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, split_p, unit_powers
 from .grouptheory import FiniteGroup, compared_fields, generators, group_from_table
@@ -253,11 +254,19 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
       eliminated on the stack's slots.  With pivot valuations va, the rows
       left span K (x) Z_p modulo p^(k - max va) once every Smith invariant
       of the stack is below k, that is once d rows are left;
-    * determinant: the norm rows of those d vectors are eliminated at the
-      same k, with pivot valuations vn.  They differ from the norm rows of
+    * determinant: the norm rows of those d vectors, their x-shifts, have
+      pivot valuations vn at the same k.  They differ from the norm rows of
       a basis of K (x) Z_p by p^j E, j = k - max va, and a perturbation by
       p^j leaves the Smith form unchanged when every invariant is below j.
       So sum vn is exact when every row pivots and max vn + max va < k.
+
+    vn is taken over O_L, a DVR with uniformizer x (Serre, Local Fields,
+    I 6), by ``_linalg.eliminate_ol``: full pivoting on the d vectors as a
+    d x d matrix over O_L, on the entry of least nu_L, gives its Smith
+    form, and only each pivot's e x-shifts are eliminated over Z_p on its
+    block.  x^(e s + t) times a unit has Z_p Smith invariants s + 1 (t
+    times) and s (e - t times), so vn is the multiset of Smith invariants
+    below k of the norm matrix, which ``eliminate`` finds on all its rows.
 
     Otherwise k doubles.  The loop ends on validated input by Speiser's
     lemma: L = Q[x]/(f) is Galois over Q with group Gamma, so (M (x) L)^Gamma
@@ -296,11 +305,10 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
     while True:
         va, rest = eliminate(cols, order.p, k, width)
         if len(rest) == d:
-            # row (k, b) lists the coordinates of x^b v_k on the Z-basis
-            # e_j x^a: the transpose of phi's matrix, with the same determinant
-            rows = [row for v in rest for row in _x_shifts(v, order.f)]
-            vn, left = eliminate(rows, order.p, k, dim)
-            if not left and max(vn, default=0) + max(va, default=0) < k:
+            # the x-shifts x^b v_k on the Z-basis e_j x^a: the rows of the
+            # transpose of phi's matrix, with the same determinant
+            vn = eliminate_ol(rest, order.p, k, e, lambda v: _x_shifts(v, order.f))
+            if len(vn) == dim and max(vn, default=0) + max(va, default=0) < k:
                 return Fraction(sum(vn), e)
         elif k > hadamard_exponent([c[:width] for c in cols], order.p):
             raise OracleError(
@@ -311,8 +319,8 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------

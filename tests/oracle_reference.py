@@ -9,9 +9,15 @@ kept only as independent oracles for the current ones:
   off the coefficients of y on the basis 1, x, ..., x^(e-1).
 * ``bareiss_det`` with ``int_step`` and ``poly_step``: both oracles took the
   full determinant by fraction-free elimination.  The monogenic oracle now
-  reads its valuation by least-valuation elimination modulo p^k
-  (``_linalg.eliminate``), and the tame one sums the valuations of the
-  diagonal entries of phi's matrix over Q(zeta_n)[pi].
+  reads its valuation by full pivoting over O_L (``_linalg.eliminate_ol``),
+  and the tame one sums the valuations of the diagonal entries of phi's
+  matrix over Q(zeta_n)[pi].
+* "``eliminate`` on every x-shift": the monogenic norm step before
+  ``eliminate_ol`` formed all d e norm rows, the x-shifts x^b v of each
+  kernel vector v, and ran ``_linalg.eliminate`` on them.  That route needs
+  no code of its own, so it is not copied here; ``tests/test_oracle.py``
+  runs it as the reference route for the norm step, with the same sorted
+  pivot valuations and the same verdict on rows left.
 * ``integer_kernel``: the monogenic oracle took its invariant lattice as the
   saturated integer kernel of the sigma (x) sigma - 1 stack, by Euclidean
   row reduction over Z.  It now runs the same least-valuation elimination

@@ -25,7 +25,7 @@ from refartin.fixtures import (
 from refartin.cyclotomic import ONE, ZERO, roots_of_unity, split_p
 from refartin.grouptheory import generators, standard_characters
 import refartin.oracle as oracle
-from refartin._linalg import eliminate, hadamard_exponent
+from refartin._linalg import eliminate, eliminate_ol, hadamard_exponent
 from refartin._poly import pcompose, pmod, ptrim
 from refartin.oracle import (
     OracleError,
@@ -198,15 +198,21 @@ def test_norm_determinant_is_the_norm_of_the_O_L_determinant(monkeypatch, order)
     """|det_Z phi| = |N_{L/Q}(det_{O_L} phi)| = |Res(f, det_{O_L} phi)|, with
     both determinants taken by the reference Bareiss elimination and
     det_{O_L} phi taken independently over Q[x] and reduced mod f; the
-    oracle's value is its nu_L over e.  The norm rows are the ones the oracle
-    accepted: those of its last ``eliminate`` call."""
-    calls = []
+    oracle's value is its nu_L over e.  The norm rows are the x-shifts of
+    the rows left by the accepted kernel call, the last ``eliminate`` call,
+    and vn the pivot valuations of the last ``eliminate_ol`` call."""
+    calls, norm_calls = [], []
 
     def spy(rows, p, k, width):
-        calls.append((rows, eliminate(rows, p, k, width)))
-        return calls[-1][1]
+        calls.append(eliminate(rows, p, k, width))
+        return calls[-1]
+
+    def norm_spy(rows, p, k, e, shifts):
+        norm_calls.append(eliminate_ol(rows, p, k, e, shifts))
+        return norm_calls[-1]
 
     monkeypatch.setattr(oracle, "eliminate", spy)
+    monkeypatch.setattr(oracle, "eliminate_ol", norm_spy)
     e, g = order.degree, order.group.order
     modules = [regular_action(order.group), [[[1]]] * g]
     if g == 2:
@@ -214,9 +220,11 @@ def test_norm_determinant_is_the_norm_of_the_O_L_determinant(monkeypatch, order)
     f = tuple(Fraction(c) for c in order.f)
     for action in modules:
         clin = oracle_monogenic_clin(order, action)
-        rows, (vn, left) = calls[-1]
+        rows = [row for v in calls[-1][1] for row in oracle._x_shifts(v, order.f)]
+        vn = norm_calls[-1]
         calls.clear()
-        assert not left and len(vn) == len(rows)
+        norm_calls.clear()
+        assert len(vn) == len(rows)
         det_z = bareiss_det(rows, int_step, 1)
         # rows k e (b = 0) of the norm matrix hold the kernel vector v_k itself
         d = len(rows) // e
@@ -351,6 +359,91 @@ def test_rank_check_raises_past_the_hadamard_bound(monkeypatch):
     with pytest.raises(OracleError, match="invariant lattice rank 0 differs from module rank 1"):
         oracle_monogenic_clin(order, [[[1]], [[1]]])
     assert ks == [4, 8, 16, 32] and hadamard_exponent([[1024, 0], [0, 1024]], 2) == 21
+
+
+def accepted_kernel(monkeypatch, order, action):
+    """(k, rows left) of the accepted kernel call of ``oracle_monogenic_clin``,
+    its last ``eliminate`` call."""
+    calls = []
+
+    def spy(rows, p, k, width):
+        calls.append((k, eliminate(rows, p, k, width)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(oracle, "eliminate", spy)
+    oracle_monogenic_clin(order, action)
+    k, (_, rest) = calls[-1]
+    return k, rest
+
+
+def norm_routes_agree(order, rows, k):
+    """``eliminate_ol`` against ``eliminate`` on every x-shift of the rows
+    modulo p^k: the same sorted pivot valuations, and rows left by both or
+    by neither.  Returns the O_L route's valuations."""
+    def shifts(v):
+        return oracle._x_shifts(v, order.f)
+
+    vn = eliminate_ol(rows, order.p, k, order.degree, shifts)
+    full, left = eliminate([r for v in rows for r in shifts(v)], order.p, k, len(rows[0]) if rows else 0)
+    assert sorted(vn) == sorted(full)
+    assert (len(vn) == len(rows) * order.degree) == (not left)
+    return vn
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_ORDERS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_norm_routes_agree_on_stable_sublattices(name, data):
+    """On the rows left of the accepted kernel call, at its k and at k = 1
+    and 2, where invariants of at least k leave rows in both routes."""
+    order = DIFFERENTIAL_ORDERS[name]
+    g = order.group.order
+    action = stable_sublattice(order, data.draw(st.lists(st.integers(-3, 3), min_size=g, max_size=g)),
+                               data.draw(st.integers(1, 2)))
+    with pytest.MonkeyPatch.context() as mp:
+        k, rest = accepted_kernel(mp, order, action)
+    for kk in (1, 2, k):
+        norm_routes_agree(order, rest, kk)
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_ORDERS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_norm_routes_agree_on_rows_with_powers_of_p(name, data):
+    """Up to 3 rows of as many blocks, each entry carrying a power of p up
+    to p^5, at k in {1, 2, 4}: pivots of every nu_L, ties, and blocks that
+    vanish mod p^k."""
+    order = DIFFERENTIAL_ORDERS[name]
+    p, e, d = order.p, order.degree, data.draw(st.integers(1, 3))
+    entry = st.tuples(st.integers(-9, 9), st.sampled_from([0, 0, 1, 2, 5])).map(lambda t: t[0] * p**t[1])
+    rows = [data.draw(st.lists(entry, min_size=d * e, max_size=d * e)) for _ in range(d)]
+    norm_routes_agree(order, rows, data.draw(st.sampled_from([1, 2, 4])))
+
+
+@pytest.mark.parametrize("p, j, clin", [(13, 1, Fraction(11, 2)), (11, 1, Fraction(9, 2)), (2, 4, 12)])
+def test_norm_routes_agree_on_the_towers(monkeypatch, p, j, clin):
+    """The regular module of the largest towers, at the accepted k and at
+    k = 1, where the invariants 1 leave rows."""
+    order = cyclotomic_tower_order(p, j)
+    k, rest = accepted_kernel(monkeypatch, order, regular_action(order.group))
+    assert Fraction(sum(norm_routes_agree(order, rest, k)), order.degree) == clin
+    assert len(norm_routes_agree(order, rest, 1)) < len(rest) * order.degree
+
+
+def test_norm_routes_agree_on_the_rank_zero_module(monkeypatch):
+    order = quad_order()
+    assert accepted_kernel(monkeypatch, order, [[], []]) == (4, [])
+    assert norm_routes_agree(order, [], 4) == []
+
+
+def test_norm_routes_agree_when_an_invariant_reaches_k():
+    """On phi4, f = x^2 + 2x + 2 at 2, x^3 = 4 + 2x has nu_L = 3 = 2 * 1 + 1
+    and Z_2 invariants 1 and 2: at k = 2 the second is not below k, and
+    both routes leave a row."""
+    order = cyclotomic_tower_order(2, 2)
+    rows = [[1, 0, 0, 0], [0, 0, 4, 2]]
+    assert sorted(norm_routes_agree(order, rows, 2)) == [0, 0, 1]
+    assert sorted(norm_routes_agree(order, rows, 3)) == [0, 0, 1, 2]
 
 
 def nu_p_det(mat, p):
