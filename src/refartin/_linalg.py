@@ -2,7 +2,7 @@
 ``eliminate``, on full pivots of least valuation modulo a power of p, with
 each row packed into one int, and ``eliminate_ol``, full pivoting over the
 DVR Z_p[x]/(f) that hands each pivot's block to ``eliminate``.  The
-monogenic oracle reads its invariant lattice from the first and the
+monogenic oracle reads the index of its traces' span from the first and the
 valuation of its determinant from the second.  There are no field routines:
 the tame oracle reads its invariant lattice and determinant off a diagonal.
 """

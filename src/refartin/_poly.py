@@ -40,14 +40,6 @@ def padd(a: Sequence, b: Sequence) -> tuple:
     return ptrim(out)
 
 
-def pneg(a: Sequence) -> tuple:
-    return tuple(-c for c in a)
-
-
-def psub(a: Sequence, b: Sequence) -> tuple:
-    return padd(a, pneg(b))
-
-
 def pmul(a: Sequence, b: Sequence) -> tuple:
     if not a or not b:
         return ()

@@ -96,11 +96,11 @@ TAME_MAX_EXPONENTS = 8
 # order file admission limit on deg f and on the module rank: the monogenic
 # oracle eliminates modulo p^k on rows of side rank * deg f, and 12
 # (Phi_13(x+1)) is the largest degree any fixture uses.  Entry size costs only
-# the representation check and the stack build: the worst admissible module,
-# rank 12 with entries at the 4,300-digit JSON limit (Phi_13(x+1)'s regular
-# module conjugated by I + 10^355 S, S the superdiagonal), takes 0.18 s in
-# process, 0.14 s of it in the big-int products of the representation check,
-# and 0.28 s wall from the CLI (2-vCPU Xeon VM, CPython 3.11)
+# the representation check and the traces: the worst admissible module, rank
+# 12 with entries at the 4,300-digit JSON limit (Phi_13(x+1)'s regular module
+# conjugated by I + 10^355 S, S the superdiagonal), takes 0.17 s in process,
+# 0.145 s of it in the big-int products of the representation check, and
+# 0.33 s wall from the CLI (2-vCPU Xeon VM, CPython 3.11)
 ORDER_MAX_DEGREE = 12
 
 # characters of a group of order m take values in Q(zeta_m) = Q(zeta_2m) (m odd),

@@ -19,10 +19,10 @@ map (M (x) O_L)^Gamma (x) O_L -> M (x) O_L.  In the tame model the invariant
 lattice is read off the diagonal of sigma - 1, and phi's matrix over O_L is
 then diagonal, so nu_L(det phi) is the sum of its entries' valuations.  In
 the monogenic one nu_L(det phi) is nu_p of the integer norm determinant
-(phi as a Z-linear map), nu_p(N_{L/Q_p} y) = nu_L(y); the invariant lattice
-over Z_p comes from ``_linalg.eliminate`` and that valuation from
-``_linalg.eliminate_ol``, pivoting over O_L, at one precision p^k; the
-determinant is never formed.
+(phi as a Z-linear map), nu_p(N_{L/Q_p} y) = nu_L(y), taken on the d
+twisted traces of a normal element, which span the invariant lattice up to
+an index read by ``_linalg.eliminate``; ``_linalg.eliminate_ol`` reads the
+valuation over O_L at the same precision p^k.  No determinant is formed.
 
 The monogenic model also extracts lower-numbering ramification filtrations,
 i_Gamma(sigma) = nu_L(sigma(x) - x), and tame characters.  Matching the
@@ -170,11 +170,6 @@ class MonogenicOrder(_MonogenicOrderFields):
     def degree(self) -> int:
         return len(self.f) - 1
 
-    def sigma_matrix(self, i: int) -> list[list[int]]:
-        """Matrix of the i-th automorphism on the Z-basis 1, x, .., x^(e-1):
-        its columns are g^0, ..., g^(e-1)."""
-        return [list(row) for row in zip(*self.powers[i][:-1])]
-
 
 def _reduce_int(g: Sequence[int], f: tuple[int, ...]) -> tuple[int, ...]:
     """g mod f as a coefficient tuple of length deg f."""
@@ -233,6 +228,28 @@ def regular_action(group: FiniteGroup) -> list[list[list[int]]]:
     return [[[int(table[s][t] == r) for t in range(m)] for r in range(m)] for s in range(m)]
 
 
+def _normal_conjugates(order: MonogenicOrder) -> list[list[int]]:
+    """The conjugates tau(theta), one per group element, of theta = (f(c) -
+    f(x)) / (c - x), whose coefficient of x^a is sum_{i > a} f_i c^(i-1-a),
+    for the least c >= 0 that makes theta normal: its conjugates are a basis
+    of L (normal basis theorem; Lang, Algebra, VI 13), that is their e x e
+    matrix has e pivots at Hadamard's bound plus one.
+
+    Some c <= e (e - 1) does.  Over a splitting field theta = prod (c - y)
+    over the roots y != x of f, so at c = g(x), g in Gamma, the matrix
+    [sigma tau(theta)] has its nonzero entries where sigma tau = g, one in
+    each row and column.  Its determinant, that of the coordinates times a
+    Vandermonde one, is then a nonzero polynomial in c of degree at most
+    e (e - 1)."""
+    f, e, p = order.f, order.degree, order.p
+    for c in range(e * (e - 1) + 1):
+        theta = [sum(f[i] * c ** (i - 1 - a) for i in range(a + 1, e + 1)) for a in range(e)]
+        conj = [_combine(theta, pw) for pw in order.powers]
+        if len(eliminate(conj, p, hadamard_exponent(conj, p) + 1, e)[0]) == e:
+            return conj
+    raise AssertionError("at most e (e - 1) integers c give a singular matrix")
+
+
 def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Sequence[int]]]) -> Fraction:
     """c_lin(M) = nu_K(det phi) computed verbatim in the monogenic model.
 
@@ -242,23 +259,26 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
     and every s in a generating set, which gives rho(a) rho(b) = rho(ab) for
     every pair by induction on the length of b as a word in the generators.
 
-    The invariant lattice K is the kernel of the stacked (sigma (x) sigma -
-    1) matrices over the same generators.  nu_L(det phi) is nu_p of the
-    integer norm determinant: the determinant of phi as a Z-linear map, on
-    the Z-basis v_k x^b (b < e) of its source, with x^b v_k reduced mod f.
-    It depends on K only through K (x) Z_p, since a change of basis that is
-    invertible over Z_p moves the determinant by a p-adic unit.  Both come
-    from ``_linalg.eliminate`` at one precision q = p^k, k = 4, 8, 16, ...:
+    The invariant lattice K = (M (x) O_L)^Gamma is not formed.  With theta
+    normal (``_normal_conjugates``) the twisted traces t_j = sum_tau
+    rho(tau) e_j (x) tau(theta), j < d, are invariant and independent: if
+    sum_j w_j t_j = 0, then sum_tau rho(tau) w (x) tau(theta) = 0, so every
+    rho(tau) w = 0 and w = 0.  By Speiser's lemma L = Q[x]/(f) is Galois
+    over Q with group Gamma, so (M (x) L)^Gamma (x) L = M (x) L and K has
+    rank d: the t_j span a sublattice S of K of finite index, and det phi
+    != 0.  K is saturated in Z_p^(d e), so the Smith invariants va of S's
+    d x (d e) matrix are those of the change of basis U from a basis of K:
+    det_{O_L} phi_S = det U det_{O_L} phi_K with nu_L(det U) = e sum va.
+    nu_L(det phi_S) is nu_p of the integer norm determinant, phi_S as a
+    Z-linear map on the Z-basis x^b t_j (b < e), since nu_p(N_{L/Q_p} y) =
+    nu_L(y).  With vn its Smith invariants, c_lin = sum vn / e - sum va.
 
-    * kernel: the stack's columns, each followed by its unit vector, are
-      eliminated on the stack's slots.  With pivot valuations va, the rows
-      left span K (x) Z_p modulo p^(k - max va) once every Smith invariant
-      of the stack is below k, that is once d rows are left;
-    * determinant: the norm rows of those d vectors, their x-shifts, have
-      pivot valuations vn at the same k.  They differ from the norm rows of
-      a basis of K (x) Z_p by p^j E, j = k - max va, and a perturbation by
-      p^j leaves the Smith form unchanged when every invariant is below j.
-      So sum vn is exact when every row pivots and max vn + max va < k.
+    The t_j are exact integer rows, so at q = p^k, k = 4, 8, 16, ...,
+    ``_linalg.eliminate`` finds the invariants va below k and
+    ``_linalg.eliminate_ol`` the invariants vn below k.  Once every row
+    pivots, d rows and then d e, both sums are exact; otherwise k doubles.
+    Every invariant is finite, since S has rank d and det phi_S != 0, so
+    the loop ends.
 
     vn is taken over O_L, a DVR with uniformizer x (Serre, Local Fields,
     I 6), by ``_linalg.eliminate_ol``: full pivoting on the d vectors as a
@@ -267,13 +287,6 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
     block.  x^(e s + t) times a unit has Z_p Smith invariants s + 1 (t
     times) and s (e - t times), so vn is the multiset of Smith invariants
     below k of the norm matrix, which ``eliminate`` finds on all its rows.
-
-    Otherwise k doubles.  The loop ends on validated input by Speiser's
-    lemma: L = Q[x]/(f) is Galois over Q with group Gamma, so (M (x) L)^Gamma
-    (x) L = M (x) L, K has rank d and det phi != 0; there is no singular
-    case to detect.  The rank check stays as a guard: when the count of rows
-    left is not d, it is exact once k passes Hadamard's bound on the stack's
-    columns, since every invariant is then below k.
     """
     e = order.degree
     grp = order.group
@@ -290,31 +303,17 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
         for s in gens:
             if _mat_mul(mats[a], mats[s]) != mats[grp.table[a][s]]:
                 raise OracleError("action matrices do not define a representation")
-    # column (j, a) of the stacked B_sigma - 1 over generators sigma, with
-    # B = A (x) S, followed by its unit vector
-    blocks, dim = [(mats[s], list(zip(*order.sigma_matrix(s)))) for s in gens], d * e
-    width, cols = len(blocks) * dim, []
-    for i in range(dim):
-        j, a = divmod(i, e)
-        col = []
-        for amat, scols in blocks:
-            col += [x * amat[j2][j] for j2 in range(d) for x in scols[a]]
-            col[len(col) - dim + i] -= 1
-        cols.append(col + [0] * i + [1] + [0] * (dim - 1 - i))
-    k = 4
+    # t_j on the Z-basis e_i x^a: coordinate (i, a) is sum_tau rho(tau)_ij tau(theta)_a
+    conj, k = _normal_conjugates(order), 4
+    traces = [[c for i in range(d) for c in _combine([m[i][j] for m in mats], conj)] for j in range(d)]
     while True:
-        va, rest = eliminate(cols, order.p, k, width)
-        if len(rest) == d:
-            # the x-shifts x^b v_k on the Z-basis e_j x^a: the rows of the
-            # transpose of phi's matrix, with the same determinant
-            vn = eliminate_ol(rest, order.p, k, e, lambda v: _x_shifts(v, order.f))
-            if len(vn) == dim and max(vn, default=0) + max(va, default=0) < k:
-                return Fraction(sum(vn), e)
-        elif k > hadamard_exponent([c[:width] for c in cols], order.p):
-            raise OracleError(
-                f"invariant lattice rank {len(rest)} differs from module rank {d}; "
-                "the action is not through a finite quotient compatible with the order"
-            )
+        va = eliminate(traces, order.p, k, d * e)[0]
+        if len(va) == d:
+            # the x-shifts x^b t_j on the Z-basis e_i x^a: the rows of the
+            # transpose of phi_S's matrix, with the same determinant
+            vn = eliminate_ol(traces, order.p, k, e, lambda v: _x_shifts(v, order.f))
+            if len(vn) == d * e:
+                return Fraction(sum(vn), e) - sum(va)
         k *= 2
 
 

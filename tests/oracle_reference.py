@@ -7,11 +7,12 @@ kept only as independent oracles for the current ones:
   the resultant taken by the Euclidean remainder sequence on ``Fraction``
   coefficients and nu_p taken of a rational.  The oracle now reads nu_L(y)
   off the coefficients of y on the basis 1, x, ..., x^(e-1).
-* ``bareiss_det`` with ``int_step`` and ``poly_step``: both oracles took the
-  full determinant by fraction-free elimination.  The monogenic oracle now
-  reads its valuation by full pivoting over O_L (``_linalg.eliminate_ol``),
-  and the tame one sums the valuations of the diagonal entries of phi's
-  matrix over Q(zeta_n)[pi].
+* ``bareiss_det`` with ``int_step`` and ``poly_step`` (and ``psub``, the
+  polynomial difference, which no ``refartin`` module calls): both oracles
+  took the full determinant by fraction-free elimination.  The monogenic
+  oracle now reads its valuation by full pivoting over O_L
+  (``_linalg.eliminate_ol``), and the tame one sums the valuations of the
+  diagonal entries of phi's matrix over Q(zeta_n)[pi].
 * "``eliminate`` on every x-shift": the monogenic norm step before
   ``eliminate_ol`` formed all d e norm rows, the x-shifts x^b v of each
   kernel vector v, and ran ``_linalg.eliminate`` on them.  That route needs
@@ -20,9 +21,16 @@ kept only as independent oracles for the current ones:
   pivot valuations and the same verdict on rows left.
 * ``integer_kernel``: the monogenic oracle took its invariant lattice as the
   saturated integer kernel of the sigma (x) sigma - 1 stack, by Euclidean
-  row reduction over Z.  It now runs the same least-valuation elimination
-  over Z_p on the stack's columns and keeps the rows left over, a basis of
-  the kernel tensor Z_p modulo a power of p.
+  row reduction over Z.  It then ran the least-valuation elimination over
+  Z_p on the stack's columns (``stack_route``).
+* ``stack_route`` with ``sigma_matrix``: the monogenic oracle took its
+  invariant lattice K tensor Z_p as the rows left by ``_linalg.eliminate``
+  on the columns of the stacked sigma (x) sigma - 1 over a generating set,
+  each followed by its unit vector, exact only modulo p^(k - max va), and
+  accepted sum vn / e when every row pivots and max vn + max va < k.  It
+  now eliminates the d twisted traces of a normal element, exact integer
+  rows spanning a sublattice of K of index p^(sum va), and accepts when
+  every row pivots.
 * ``field_kernel``: the kernel basis read off the reduced row echelon form,
   every pivot row normalized at once.  The tame oracle took its invariant
   lattice by field elimination on the dense diagonal matrix of sigma - 1; it
@@ -35,7 +43,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from refartin._poly import pdeg, pdivmod, pmod, pmul, psub, ptrim
+from refartin._linalg import eliminate, eliminate_ol, hadamard_exponent
+from refartin._poly import padd, pdeg, pdivmod, pmod, pmul, ptrim
+from refartin.grouptheory import generators
+from refartin.oracle import _x_shifts
 
 
 def presultant(a: Sequence, b: Sequence) -> Fraction:
@@ -68,6 +79,10 @@ def val_p(q: Fraction, p: int) -> int:
         den //= p
         v -= 1
     return v
+
+
+def psub(a: Sequence, b: Sequence) -> tuple:
+    return padd(a, tuple(-c for c in b))
 
 
 def bareiss_det(mat: Sequence[Sequence], step, one):
@@ -177,3 +192,45 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
             work[pivot_row], work[i0] = work[i0], work[pivot_row]
             pivot_row += 1
     return [tuple(r[m:]) for r in work[pivot_row:]]
+
+
+def sigma_matrix(order, i: int) -> list[list[int]]:
+    """Matrix of the i-th automorphism of a ``MonogenicOrder`` on the Z-basis
+    1, x, .., x^(e-1): its columns are g^0, ..., g^(e-1), read from
+    ``order.powers``."""
+    return [list(row) for row in zip(*order.powers[i][:-1])]
+
+
+def stack_route(order, action) -> tuple[Fraction, int, list[int], list[list[int]]]:
+    """(c_lin, k, va, rows left) by the stack route, at the accepted k.
+
+    The columns of the stacked B_sigma - 1, B = A (x) S, over the generators
+    sigma, each followed by its unit vector, are eliminated on the stack's
+    slots: with pivot valuations va, the d rows left span the invariant
+    lattice tensor Z_p modulo p^(k - max va).  Their norm rows have pivot
+    valuations vn over O_L, and sum vn / e is exact when every row pivots
+    and max vn + max va < k, since a perturbation by p^j leaves the Smith
+    form unchanged when every invariant is below j.  Otherwise k doubles;
+    a rank other than d is exact once k passes Hadamard's bound on the
+    stack's columns, and fails the assertion."""
+    e, d = order.degree, len(action[0])
+    blocks, dim = [(action[s], list(zip(*sigma_matrix(order, s)))) for s in generators(order.group.table)], d * e
+    width, cols = len(blocks) * dim, []
+    for i in range(dim):
+        j, a = divmod(i, e)
+        col = []
+        for amat, scols in blocks:
+            col += [x * amat[j2][j] for j2 in range(d) for x in scols[a]]
+            col[len(col) - dim + i] -= 1
+        cols.append(col + [0] * i + [1] + [0] * (dim - 1 - i))
+    k = 4
+    while True:
+        va, rest = eliminate(cols, order.p, k, width)
+        if len(rest) == d:
+            vn = eliminate_ol(rest, order.p, k, e, lambda v: _x_shifts(v, order.f))
+            if len(vn) == dim and max(vn, default=0) + max(va, default=0) < k:
+                return Fraction(sum(vn), e), k, va, rest
+        else:
+            assert k <= hadamard_exponent([c[:width] for c in cols], order.p), \
+                f"invariant lattice rank {len(rest)} differs from module rank {d}"
+        k *= 2

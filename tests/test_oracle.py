@@ -13,6 +13,8 @@ from oracle_reference import (
     integer_kernel,
     poly_step,
     presultant,
+    sigma_matrix,
+    stack_route,
     val_p,
 )
 from refartin.conductor import conductor, qp_irreducibles_cyclic, transport_to_cyclic
@@ -26,7 +28,7 @@ from refartin.cyclotomic import ONE, ZERO, roots_of_unity, split_p
 from refartin.grouptheory import generators, standard_characters
 import refartin.oracle as oracle
 from refartin._linalg import eliminate, eliminate_ol, hadamard_exponent
-from refartin._poly import pcompose, pmod, ptrim
+from refartin._poly import padd, pcompose, pexact_div, pmod, ptrim
 from refartin.oracle import (
     OracleError,
     TameModel,
@@ -125,13 +127,11 @@ def test_monogenic_validation():
 
 
 TOWERS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1)]
+MONOGENIC_ORDERS = {"quad": quad_order(), "cubic7": real_cubic_order7(),
+                    **{f"phi{p**k}": cyclotomic_tower_order(p, k) for p, k in TOWERS}}
 
 
-@pytest.mark.parametrize(
-    "order",
-    [quad_order(), real_cubic_order7()] + [cyclotomic_tower_order(p, k) for p, k in TOWERS],
-    ids=["quad", "cubic7"] + [f"phi{p**k}" for p, k in TOWERS],
-)
+@pytest.mark.parametrize("order", list(MONOGENIC_ORDERS.values()), ids=list(MONOGENIC_ORDERS))
 def test_galois_table_is_composition(order):
     """table[a][b] is the map x -> g_b(g_a(x)), composed independently over
     Z[x] and reduced mod f."""
@@ -187,6 +187,65 @@ def test_rank_zero_module_has_zero_clin():
     assert oracle_monogenic_clin(quad_order(), [[], []]) == 0
 
 
+def theta_conjugates(order, c):
+    """theta(g(x)) mod f for every Galois map g, theta = (f(x) - f(c)) / (x - c)
+    taken by polynomial division and composed over Z[x]."""
+    theta = pexact_div(padd(order.f, (-sum(a * c**i for i, a in enumerate(order.f)),)), (-c, 1))
+    conj = [pmod(pcompose(theta, g), order.f) for g in order.galois]
+    return [list(y) + [0] * (order.degree - len(y)) for y in conj]
+
+
+def test_normal_conjugates_take_the_least_nonsingular_c():
+    """theta_0's conjugate matrix is singular by the reference Bareiss
+    determinant on 8 of the 12 orders, so the search for a normal element
+    is exercised; the oracle's conjugates are theta_c's for the least c
+    whose matrix is nonsingular, and that c is 0 or 1."""
+    singular_at_zero = set()
+    for name, order in MONOGENIC_ORDERS.items():
+        dets = [bareiss_det(theta_conjugates(order, c), int_step, 1) for c in range(2)]
+        if not dets[0]:
+            singular_at_zero.add(name)
+        assert oracle._normal_conjugates(order) == theta_conjugates(order, 0 if dets[0] else 1) and dets[1]
+    assert singular_at_zero == {"quad", "phi5", "phi7", "phi8", "phi9", "phi11", "phi13", "phi16"}
+
+
+def trace_route(monkeypatch, order, action):
+    """(c_lin, k, va, traces, vn) of ``oracle_monogenic_clin``: k, the traces
+    and vn of its last ``eliminate_ol`` call, the accepted one, and va of
+    its last ``eliminate`` call, the accepted one on the traces."""
+    calls, norm_calls = [], []
+
+    def spy(rows, p, k, width):
+        calls.append(eliminate(rows, p, k, width))
+        return calls[-1]
+
+    def norm_spy(rows, p, k, e, shifts):
+        norm_calls.append((k, rows, eliminate_ol(rows, p, k, e, shifts)))
+        return norm_calls[-1][2]
+
+    monkeypatch.setattr(oracle, "eliminate", spy)
+    monkeypatch.setattr(oracle, "eliminate_ol", norm_spy)
+    clin = oracle_monogenic_clin(order, action)
+    k, traces, vn = norm_calls[-1]
+    return clin, k, calls[-1][0], traces, vn
+
+
+def pivot_columns(rows):
+    """The pivot columns of a row echelon form of an integer matrix over Q:
+    its minor on them is nonzero when its rows are independent."""
+    work, cols = [[Fraction(x) for x in row] for row in rows], []
+    for c in range(len(work[0]) if work else 0):
+        i = next((i for i in range(len(cols), len(work)) if work[i][c]), None)
+        if i is not None:
+            work[len(cols)], work[i] = work[i], work[len(cols)]
+            piv = work[len(cols)]
+            for row in work[len(cols) + 1:]:
+                t = row[c] / piv[c]
+                row[:] = [x - t * y for x, y in zip(row, piv)]
+            cols.append(c)
+    return cols
+
+
 @pytest.mark.parametrize(
     "order",
     [cyclotomic_tower_order(2, 2), cyclotomic_tower_order(2, 3), cyclotomic_tower_order(3, 2),
@@ -195,65 +254,71 @@ def test_rank_zero_module_has_zero_clin():
     ids=["phi4", "phi8", "phi9", "phi5", "phi7", "cubic7", "quad"],
 )
 def test_norm_determinant_is_the_norm_of_the_O_L_determinant(monkeypatch, order):
-    """|det_Z phi| = |N_{L/Q}(det_{O_L} phi)| = |Res(f, det_{O_L} phi)|, with
-    both determinants taken by the reference Bareiss elimination and
-    det_{O_L} phi taken independently over Q[x] and reduced mod f; the
-    oracle's value is its nu_L over e.  The norm rows are the x-shifts of
-    the rows left by the accepted kernel call, the last ``eliminate`` call,
-    and vn the pivot valuations of the last ``eliminate_ol`` call."""
-    calls, norm_calls = [], []
-
-    def spy(rows, p, k, width):
-        calls.append(eliminate(rows, p, k, width))
-        return calls[-1]
-
-    def norm_spy(rows, p, k, e, shifts):
-        norm_calls.append(eliminate_ol(rows, p, k, e, shifts))
-        return norm_calls[-1]
-
-    monkeypatch.setattr(oracle, "eliminate", spy)
-    monkeypatch.setattr(oracle, "eliminate_ol", norm_spy)
+    """On the span S of the oracle's traces, |det_Z phi_S| = |N_{L/Q}(det_{O_L}
+    phi_S)| = |Res(f, det_{O_L} phi_S)|, with both determinants taken by the
+    reference Bareiss elimination and det_{O_L} phi_S taken independently
+    over Q[x] and reduced mod f; the norm rows are the traces' x-shifts, and
+    vn the pivot valuations of the accepted ``eliminate_ol`` call.  The
+    traces lie in the reference stack's kernel, and sum va is nu_p [K : S]
+    = nu_p(det U), S = U K with K the reference kernel basis, read on d
+    columns where K's minor is nonzero; the oracle's value is sum vn / e -
+    sum va.  Traces taken with the transposed matrices are not invariant
+    on the regular modules of C4 and C6 (phi5, phi7, phi9)."""
     e, g = order.degree, order.group.order
     modules = [regular_action(order.group), [[[1]]] * g]
     if g == 2:
         modules.append([[[1]], [[-1]]])
     f = tuple(Fraction(c) for c in order.f)
     for action in modules:
-        clin = oracle_monogenic_clin(order, action)
-        rows = [row for v in calls[-1][1] for row in oracle._x_shifts(v, order.f)]
-        vn = norm_calls[-1]
-        calls.clear()
-        norm_calls.clear()
+        clin, _, va, traces, vn = trace_route(monkeypatch, order, action)
+        rows = [row for v in traces for row in oracle._x_shifts(v, order.f)]
         assert len(vn) == len(rows)
         det_z = bareiss_det(rows, int_step, 1)
-        # rows k e (b = 0) of the norm matrix hold the kernel vector v_k itself
-        d = len(rows) // e
-        mat = [[ptrim([Fraction(c) for c in rows[k * e][j * e:(j + 1) * e]])
-                for k in range(d)] for j in range(d)]
+        d = len(traces)
+        mat = [[ptrim([Fraction(c) for c in traces[k][j * e:(j + 1) * e]]) for k in range(d)] for j in range(d)]
         det_ol = pmod(bareiss_det(mat, poly_step, (Fraction(1),)), f)
         assert abs(det_z) == abs(presultant(f, det_ol)) != 0
         assert sum(vn) == val_p(det_z, order.p)
-        assert clin == Fraction(sum(vn), e) == Fraction(valuation_monogenic(order, det_ol), e)
+        assert clin + sum(va) == Fraction(sum(vn), e) == Fraction(valuation_monogenic(order, det_ol), e)
+        assert not any(sum(map(int.__mul__, row, t)) for row in reference_stack(order, action) for t in traces)
+        kernel = reference_kernel(order, action)
+        cols = pivot_columns(kernel)
+        det_u = Fraction(bareiss_det([[t[c] for c in cols] for t in traces], int_step, 1),
+                         bareiss_det([[v[c] for c in cols] for v in kernel], int_step, 1))
+        assert sum(va) == val_p(det_u, order.p)
 
 
-def reference_clin(order, action) -> Fraction:
-    """c_lin by the earlier route: the saturated integer kernel of the
-    sigma (x) sigma - 1 stack over every group element, then the norm
-    determinant of the kernel basis by Bareiss over Z, and its nu_p."""
+def reference_stack(order, action) -> list[list[int]]:
+    """The rows of sigma (x) sigma - 1 over every group element, on the
+    Z-basis e_j (x) x^b: the invariant lattice is their kernel."""
     e = order.degree
     d = len(action[0])
     stack = []
     for s, a in enumerate(action):
-        smat = order.sigma_matrix(s)
+        smat = sigma_matrix(order, s)
         for j2 in range(d):
             for a2 in range(e):
                 row = [a[j2][j] * smat[a2][b] for j in range(d) for b in range(e)]
                 row[j2 * e + a2] -= 1
                 stack.append(row)
-    kernel = integer_kernel(stack, d * e)
-    assert len(kernel) == d
+    return stack
+
+
+def reference_kernel(order, action) -> list[tuple[int, ...]]:
+    """The saturated integer kernel of the reference stack, a basis of the
+    invariant lattice."""
+    kernel = integer_kernel(reference_stack(order, action), order.degree * len(action[0]))
+    assert len(kernel) == len(action[0])
+    return kernel
+
+
+def reference_clin(order, action) -> Fraction:
+    """c_lin by the earlier route: the norm determinant of the reference
+    kernel basis by Bareiss over Z, and its nu_p."""
+    e = order.degree
+    d = len(action[0])
     rows = []
-    for v in kernel:
+    for v in reference_kernel(order, action):
         for b in range(e):
             # x^b v, each block of e coordinates an element of Z[x]/(f)
             shifted = [pmod((0,) * b + v[j * e:(j + 1) * e], order.f) for j in range(d)]
@@ -284,32 +349,33 @@ def stable_sublattice(order, v, a):
     return [[[int(x) for x in row] for row in m] for m in action]
 
 
+def routes_agree(order, action) -> Fraction:
+    """c_lin by the trace route (the oracle), the stack route and the
+    reference kernel, checked equal."""
+    clin = oracle_monogenic_clin(order, action)
+    assert clin == stack_route(order, action)[0] == reference_clin(order, action)
+    return clin
+
+
 @pytest.mark.parametrize("name", list(DIFFERENTIAL_ORDERS))
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_clin_of_stable_sublattices_matches_the_reference(name, data):
     order = DIFFERENTIAL_ORDERS[name]
     g = order.group.order
-    action = stable_sublattice(order, data.draw(st.lists(st.integers(-3, 3), min_size=g, max_size=g)),
-                               data.draw(st.integers(1, 2)))
-    assert oracle_monogenic_clin(order, action) == reference_clin(order, action)
+    routes_agree(order, stable_sublattice(order, data.draw(st.lists(st.integers(-3, 3), min_size=g, max_size=g)),
+                                          data.draw(st.integers(1, 3))))
 
 
 @pytest.mark.parametrize("name, v, clin", [("phi8", (0, 0, 1, 1), 3), ("phi9", (0, 0, 0, 0, 1, 1), Fraction(7, 2))])
-def test_sublattice_stack_with_a_pivot_of_valuation_one(monkeypatch, name, v, clin):
-    """On these sublattices of index p the kernel elimination has a pivot of
-    valuation 1, so the rows left are kernel vectors modulo p^3 only."""
+def test_sublattice_stack_with_a_pivot_of_valuation_one(name, v, clin):
+    """On these sublattices of index p the stack route's kernel elimination
+    has a pivot of valuation 1, so its rows left are kernel vectors modulo
+    p^3 only."""
     order = DIFFERENTIAL_ORDERS[name]
-    calls = []
-
-    def spy(rows, p, k, width):
-        calls.append(eliminate(rows, p, k, width))
-        return calls[-1]
-
-    monkeypatch.setattr(oracle, "eliminate", spy)
     action = stable_sublattice(order, v, 1)
-    assert oracle_monogenic_clin(order, action) == reference_clin(order, action) == clin
-    assert max(calls[0][0]) == 1
+    assert routes_agree(order, action) == clin
+    assert max(stack_route(order, action)[2]) == 1
 
 
 @pytest.mark.parametrize("name", list(DIFFERENTIAL_ORDERS))
@@ -330,8 +396,7 @@ def test_clin_of_unimodular_conjugates_matches_the_reference(name, data):
         u_inv[i] = [x - c * y for x, y in zip(u_inv[i], u_inv[j])]
     regular = regular_action(order.group)
     action = [oracle._mat_mul(oracle._mat_mul(u_inv, a), u) for a in regular]
-    clin = oracle_monogenic_clin(order, action)
-    assert clin == reference_clin(order, action) == oracle_monogenic_clin(order, regular)
+    assert routes_agree(order, action) == oracle_monogenic_clin(order, regular)
 
 
 @pytest.mark.parametrize("name", list(DIFFERENTIAL_ORDERS))
@@ -340,39 +405,59 @@ def test_clin_of_the_fixture_modules_matches_the_reference(name):
     g = order.group.order
     modules = [regular_action(order.group), [[[1]]] * g, [[]] * g]
     for action in modules:
-        assert oracle_monogenic_clin(order, action) == reference_clin(order, action)
+        routes_agree(order, action)
 
 
-def test_rank_check_raises_past_the_hadamard_bound(monkeypatch):
-    """A stack 2^10 I has no kernel, yet vanishes mod 2^4 and 2^8: the rank
-    is read only once k passes Hadamard's bound on its columns, and then
-    the error is raised instead of a value."""
+def test_routes_agree_on_phi16s_regular_module(monkeypatch):
+    """Phi_16(x+1)'s traces have the largest index of the fixture orders,
+    p^19, so the trace route accepts only at k = 16."""
+    order = cyclotomic_tower_order(2, 4)
+    action = regular_action(order.group)
+    clin, k, va, _, _ = trace_route(monkeypatch, order, action)
+    assert (clin, k, sum(va)) == (12, 16, 19)
+    assert routes_agree(order, action) == 12
+
+
+def test_trace_and_stack_routes_agree_on_a_conjugate_of_phi13s_regular_module():
+    """Phi_13(x+1)'s regular module conjugated by I + 3 S, S the
+    superdiagonal, as in the console checks.  The reference kernel is left
+    out: its Euclidean reduction over Z takes tens of seconds here."""
+    order, n, c = cyclotomic_tower_order(13, 1), 12, 3
+    u = [[int(j == i) + c * (j == i + 1) for j in range(n)] for i in range(n)]
+    u_inv = [[(-c) ** (j - i) if j >= i else 0 for j in range(n)] for i in range(n)]
+    action = [oracle._mat_mul(oracle._mat_mul(u_inv, a), u) for a in regular_action(order.group)]
+    assert oracle_monogenic_clin(order, action) == stack_route(order, action)[0] == Fraction(11, 2)
+
+
+@pytest.mark.parametrize("step", ["traces", "norm"])
+def test_a_row_left_at_k_doubles_k(monkeypatch, step):
+    """The one acceptance rule is that every row pivots.  A trace row or a
+    norm row left at k = 4, made by dropping the largest pivot valuation
+    there, doubles k: the norm step runs only once d trace rows pivot, and
+    the value is accepted only once every norm row pivots too."""
     order = quad_order()
-    monkeypatch.setattr(type(order), "sigma_matrix", lambda self, i: [[1025, 0], [0, 1025]])
-    ks = []
+    norm_ks = []
 
-    def spy(rows, p, k, width):
-        ks.append(k)
-        return eliminate(rows, p, k, width)
+    def spy(rows, p, k, width, *rest):
+        va, left = eliminate(rows, p, k, width, *rest)
+        if step == "traces" and k == 4 and width == 2 * order.degree:
+            return sorted(va)[:-1], left + [[0] * 4]
+        return va, left
 
-    monkeypatch.setattr(oracle, "eliminate", spy)
-    with pytest.raises(OracleError, match="invariant lattice rank 0 differs from module rank 1"):
-        oracle_monogenic_clin(order, [[[1]], [[1]]])
-    assert ks == [4, 8, 16, 32] and hadamard_exponent([[1024, 0], [0, 1024]], 2) == 21
-
-
-def accepted_kernel(monkeypatch, order, action):
-    """(k, rows left) of the accepted kernel call of ``oracle_monogenic_clin``,
-    its last ``eliminate`` call."""
-    calls = []
-
-    def spy(rows, p, k, width):
-        calls.append((k, eliminate(rows, p, k, width)))
-        return calls[-1][1]
+    def norm_spy(rows, p, k, e, shifts):
+        norm_ks.append(k)
+        vn = eliminate_ol(rows, p, k, e, shifts)
+        return sorted(vn)[:-1] if step == "norm" and k == 4 else vn
 
     monkeypatch.setattr(oracle, "eliminate", spy)
-    oracle_monogenic_clin(order, action)
-    k, (_, rest) = calls[-1]
+    monkeypatch.setattr(oracle, "eliminate_ol", norm_spy)
+    assert oracle_monogenic_clin(order, regular_action(order.group)) == Fraction(3, 2)
+    assert norm_ks == ([8] if step == "traces" else [4, 8])
+
+
+def accepted_kernel(order, action):
+    """(k, rows left) of the stack route's accepted kernel call."""
+    _, k, _, rest = stack_route(order, action)
     return k, rest
 
 
@@ -394,16 +479,18 @@ def norm_routes_agree(order, rows, k):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_norm_routes_agree_on_stable_sublattices(name, data):
-    """On the rows left of the accepted kernel call, at its k and at k = 1
-    and 2, where invariants of at least k leave rows in both routes."""
+    """On the stack route's rows left and on the oracle's traces, each at
+    its accepted k and at k = 1 and 2, where invariants of at least k leave
+    rows in both norm routes."""
     order = DIFFERENTIAL_ORDERS[name]
     g = order.group.order
     action = stable_sublattice(order, data.draw(st.lists(st.integers(-3, 3), min_size=g, max_size=g)),
                                data.draw(st.integers(1, 2)))
     with pytest.MonkeyPatch.context() as mp:
-        k, rest = accepted_kernel(mp, order, action)
-    for kk in (1, 2, k):
-        norm_routes_agree(order, rest, kk)
+        _, k_traces, _, traces, _ = trace_route(mp, order, action)
+    for k, rows in (accepted_kernel(order, action), (k_traces, traces)):
+        for kk in (1, 2, k):
+            norm_routes_agree(order, rows, kk)
 
 
 @pytest.mark.parametrize("name", list(DIFFERENTIAL_ORDERS))
@@ -422,17 +509,18 @@ def test_norm_routes_agree_on_rows_with_powers_of_p(name, data):
 
 @pytest.mark.parametrize("p, j, clin", [(13, 1, Fraction(11, 2)), (11, 1, Fraction(9, 2)), (2, 4, 12)])
 def test_norm_routes_agree_on_the_towers(monkeypatch, p, j, clin):
-    """The regular module of the largest towers, at the accepted k and at
-    k = 1, where the invariants 1 leave rows."""
+    """The traces of the regular module of the largest towers, at the
+    accepted k and at k = 1, where the invariants 1 leave rows."""
     order = cyclotomic_tower_order(p, j)
-    k, rest = accepted_kernel(monkeypatch, order, regular_action(order.group))
-    assert Fraction(sum(norm_routes_agree(order, rest, k)), order.degree) == clin
-    assert len(norm_routes_agree(order, rest, 1)) < len(rest) * order.degree
+    _, k, va, traces, _ = trace_route(monkeypatch, order, regular_action(order.group))
+    assert Fraction(sum(norm_routes_agree(order, traces, k)), order.degree) - sum(va) == clin
+    assert len(norm_routes_agree(order, traces, 1)) < len(traces) * order.degree
 
 
 def test_norm_routes_agree_on_the_rank_zero_module(monkeypatch):
     order = quad_order()
-    assert accepted_kernel(monkeypatch, order, [[], []]) == (4, [])
+    assert accepted_kernel(order, [[], []]) == (4, [])
+    assert trace_route(monkeypatch, order, [[], []]) == (0, 4, [], [], [])
     assert norm_routes_agree(order, [], 4) == []
 
 
@@ -563,7 +651,7 @@ def test_rows_left_are_a_kernel_basis_modulo_p_to_k_minus_max_va(case):
 def test_rows_left_lose_the_pivot_valuation_in_precision():
     """(2, 18) is (2, 2) mod 2^4: the row left is (15, 1), and with the true
     kernel vector (-9, 1) its minor is -24, divisible by 2^(4 - 1) but not
-    by 2^4.  The oracle's acceptance rule charges max va for this."""
+    by 2^4.  The stack route's acceptance rule charges max va for this."""
     assert eliminate([[2, 1, 0], [18, 0, 1]], 2, 4, 1) == ([1], [[15, 1]])
     assert integer_kernel([[2, 18]], 2) == [(-9, 1)]
     assert minors([[-9, 1], [15, 1]], 2) == [-24]
