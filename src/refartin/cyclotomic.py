@@ -17,7 +17,6 @@ m and Q(zeta_mq) = Q(zeta_m) (x) Q(zeta_q) when it does not, so no table is
 kept and no linear system is solved.  Every result is reduced modulo Phi_N
 by :func:`_mod_phi`: fold X^N = 1, then divide by Phi_N from the top down
 through its nonzero terms only (as many as Phi_rad(N) has, 5 at N = 800).
-The inverse is the product of the other Galois conjugates over the norm.
 Every linear combination sum w_i v_i / d (integer weights, one d > 0) is one
 :func:`cyclo_sum`, canonicalized once; :func:`hermitian_sum`, the kernel of
 the pairing, sums products in Z[X]/(X^N - 1) over a final ``den`` (|G| for a
@@ -407,45 +406,6 @@ class Cyclotomic(_CyclotomicFields):
         return Cyclotomic._new(n, num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Cyclotomic":
-        if not self:
-            raise ZeroDivisionError("cyclotomic division by zero")
-        n = self.conductor
-        if n == 1:
-            return Cyclotomic._coerce(1 / self.rational())
-        # 1/a = den * prod / N(num), where prod is the product of the
-        # conjugates of num under zeta -> zeta^k, k != 1, and the norm
-        # N(num) = num * prod is an integer; a and 1/a generate the same
-        # field, so the conductor stays
-        prod = [1] + [0] * (len(self.num) - 1)
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                prod = _mul_raw(n, prod, self.galois(k).num)
-        norm = _mul_raw(n, self.num, prod)[0]
-        if norm < 0:
-            prod, norm = [-c for c in prod], -norm
-        return _lowest(n, [c * self.den for c in prod], norm)
-
-    def __truediv__(self, other) -> "Cyclotomic":
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other) -> "Cyclotomic":
-        return Cyclotomic._coerce(other) * self.inverse()
-
-    def __pow__(self, e: int) -> "Cyclotomic":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result, base = ONE, self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     # -- Galois ------------------------------------------------------------
 

@@ -7,7 +7,6 @@ binding on it.  The one deliberate exception is flagged in its docstring.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from ._poly import pcompose
@@ -63,11 +62,10 @@ def quad_order() -> MonogenicOrder:
     return build_monogenic_order(2, [-2, 0, 1], [[0, 1], [0, -1]])
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_tower_order(p: int, k: int) -> MonogenicOrder:
     """The order of the p^k-th cyclotomic extension of the p-adics, generated
     by x = zeta - 1 (Eisenstein); Galois maps x -> (x+1)^j - 1 for j prime
-    to p.  Unbounded, but the package reads only the four curated towers."""
+    to p.  Built once per (p, k) while ``build_monogenic_order`` keeps it."""
     if k < 1:
         raise ValueError("k must be >= 1")
     q = p**k

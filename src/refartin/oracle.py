@@ -12,7 +12,9 @@ Two exact models, independent of the character-pairing route:
   with a Galois action given by integer polynomials.  Inputs are reduced
   mod f once (``_poly.pmod``); after that Z[x]/(f) is computed in on
   integer lists through shifts by x (``_x_shifts``) and the powers
-  g^0, ..., g^e of each Galois map, computed once per order.
+  g^0, ..., g^e of each Galois map.  Each order, with those powers and the
+  conjugates of a normal element, is built once per (p, f, galois)
+  (``build_monogenic_order``).
 
 Both oracles compute c_lin(M) = nu_K(det phi) where phi is the multiplication
 map (M (x) O_L)^Gamma (x) O_L -> M (x) O_L.  In the tame model the invariant
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -106,7 +109,8 @@ class _MonogenicOrderFields(NamedTuple):
     f: tuple[int, ...]
     galois: tuple[tuple[int, ...], ...]
     group: FiniteGroup
-    powers: tuple[list[list[int]], ...]
+    powers: tuple[tuple[tuple[int, ...], ...], ...]
+    normal: tuple[tuple[int, ...], ...]
 
 
 class MonogenicOrder(_MonogenicOrderFields):
@@ -116,9 +120,12 @@ class MonogenicOrder(_MonogenicOrderFields):
     lists one integer polynomial per group element (reduced mod f, identity
     first) with g(x) again a root of f; composition must close into a group
     of order deg f.  ``group`` is that abstract group, with element i the
-    automorphism x -> galois[i](x), and ``powers[i]`` lists g^0, ..., g^e
-    mod f for g = galois[i]; both are built here.  Equality and hashing read
-    (p, f, galois) only, and repr does not show ``powers``.
+    automorphism x -> galois[i](x), ``powers[i]`` lists g^0, ..., g^e mod f
+    for g = galois[i], and ``normal[i]`` is galois[i](theta) mod f for the
+    normal element theta of ``_normal_conjugates``, found and certified once
+    every check has passed; all are built here, as tuples.  Equality and
+    hashing read (p, f, galois) only, and repr shows neither ``powers`` nor
+    ``normal``.
     """
 
     __slots__ = ()
@@ -146,7 +153,7 @@ class MonogenicOrder(_MonogenicOrderFields):
             pw = [[1] + [0] * (e - 1)]
             for _ in range(e):
                 pw.append(_combine(pw[-1], times_g))
-            powers.append(pw)
+            powers.append(tuple(map(tuple, pw)))
         # f(g) = sum_k f_k g^k
         if any(any(_combine(f, pw)) for pw in powers):
             raise OracleError("a Galois map does not send x to a root of f")
@@ -155,7 +162,8 @@ class MonogenicOrder(_MonogenicOrderFields):
         table = [[index.get(tuple(_combine(b, pw))) for b in maps] for pw in powers]
         if any(None in row for row in table):
             raise OracleError("Galois maps do not close under composition")
-        return tuple.__new__(cls, (p, f, tuple(maps), group_from_table(table), tuple(powers)))
+        return tuple.__new__(cls, (p, f, tuple(maps), group_from_table(table), tuple(powers),
+                                   _normal_conjugates(p, f, powers)))
 
     def __getnewargs__(self):
         return self[:3]
@@ -197,13 +205,24 @@ def _x_shifts(v: list[int], f: tuple[int, ...]) -> list[list[int]]:
     return rows
 
 
-def _combine(coeffs: Sequence[int], vectors: Sequence[list[int]]) -> list[int]:
+def _combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]]) -> list[int]:
     """sum_k coeffs[k] vectors[k], over the first len(coeffs) vectors."""
     return [sum(map(mul, coeffs, col)) for col in zip(*vectors)]
 
 
+# Keyed on the int tuples of (p, f, galois), all an order depends on.  The
+# bound, 32 orders, covers the 11 the oracle-lattice benchmark reads (0.18 MB
+# together with their keys, by tracemalloc on CPython 3.11) and the 12 of the
+# tests' MONOGENIC_ORDERS.  Exceptions are not cached: invalid input is
+# refused on every call.
+_unique_order = lru_cache(maxsize=32)(MonogenicOrder)
+
+
 def build_monogenic_order(p: int, f: Sequence[int], galois: Sequence[Sequence[int]]) -> MonogenicOrder:
-    return MonogenicOrder(int(p), tuple(int(c) for c in f), tuple(tuple(int(c) for c in g) for g in galois))
+    """``MonogenicOrder(p, f, galois)``, one object per input: equal
+    arguments, given as lists or as tuples, return the identical order
+    (``_unique_order``)."""
+    return _unique_order(int(p), tuple(int(c) for c in f), tuple(tuple(int(c) for c in g) for g in galois))
 
 
 def valuation_monogenic(order: MonogenicOrder, y: Sequence[int] | Sequence[Fraction]):
@@ -228,12 +247,14 @@ def regular_action(group: FiniteGroup) -> list[list[list[int]]]:
     return [[[int(table[s][t] == r) for t in range(m)] for r in range(m)] for s in range(m)]
 
 
-def _normal_conjugates(order: MonogenicOrder) -> list[list[int]]:
-    """The conjugates tau(theta), one per group element, of theta = (f(c) -
-    f(x)) / (c - x), whose coefficient of x^a is sum_{i > a} f_i c^(i-1-a),
-    for the least c >= 0 that makes theta normal: its conjugates are a basis
-    of L (normal basis theorem; Lang, Algebra, VI 13), that is their e x e
-    matrix has e pivots at Hadamard's bound plus one.
+def _normal_conjugates(p: int, f: tuple[int, ...],
+                       powers: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
+    """The conjugates tau(theta), one per group element, from the powers of
+    the Galois maps, of theta = (f(c) - f(x)) / (c - x), whose coefficient
+    of x^a is sum_{i > a} f_i c^(i-1-a), for the least c >= 0 that makes
+    theta normal: its conjugates are a basis of L (normal basis theorem;
+    Lang, Algebra, VI 13), that is their e x e matrix has e pivots at
+    Hadamard's bound plus one.
 
     Some c <= e (e - 1) does.  Over a splitting field theta = prod (c - y)
     over the roots y != x of f, so at c = g(x), g in Gamma, the matrix
@@ -241,12 +262,12 @@ def _normal_conjugates(order: MonogenicOrder) -> list[list[int]]:
     each row and column.  Its determinant, that of the coordinates times a
     Vandermonde one, is then a nonzero polynomial in c of degree at most
     e (e - 1)."""
-    f, e, p = order.f, order.degree, order.p
+    e = len(f) - 1
     for c in range(e * (e - 1) + 1):
         theta = [sum(f[i] * c ** (i - 1 - a) for i in range(a + 1, e + 1)) for a in range(e)]
-        conj = [_combine(theta, pw) for pw in order.powers]
+        conj = [_combine(theta, pw) for pw in powers]
         if len(eliminate(conj, p, hadamard_exponent(conj, p) + 1, e)[0]) == e:
-            return conj
+            return tuple(map(tuple, conj))
     raise AssertionError("at most e (e - 1) integers c give a singular matrix")
 
 
@@ -260,7 +281,8 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
     every pair by induction on the length of b as a word in the generators.
 
     The invariant lattice K = (M (x) O_L)^Gamma is not formed.  With theta
-    normal (``_normal_conjugates``) the twisted traces t_j = sum_tau
+    the order's normal element, read from ``order.normal`` (no search or
+    certification runs here), the twisted traces t_j = sum_tau
     rho(tau) e_j (x) tau(theta), j < d, are invariant and independent: if
     sum_j w_j t_j = 0, then sum_tau rho(tau) w (x) tau(theta) = 0, so every
     rho(tau) w = 0 and w = 0.  By Speiser's lemma L = Q[x]/(f) is Galois
@@ -304,7 +326,7 @@ def oracle_monogenic_clin(order: MonogenicOrder, action: Sequence[Sequence[Seque
             if _mat_mul(mats[a], mats[s]) != mats[grp.table[a][s]]:
                 raise OracleError("action matrices do not define a representation")
     # t_j on the Z-basis e_i x^a: coordinate (i, a) is sum_tau rho(tau)_ij tau(theta)_a
-    conj, k = _normal_conjugates(order), 4
+    conj, k = order.normal, 4
     traces = [[c for i in range(d) for c in _combine([m[i][j] for m in mats], conj)] for j in range(d)]
     while True:
         va = eliminate(traces, order.p, k, d * e)[0]

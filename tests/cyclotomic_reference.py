@@ -16,9 +16,12 @@ from typing import Iterable, Sequence
 
 from oracle_reference import field_kernel
 from refartin.cyclotomic import (
+    ONE,
+    Cyclotomic,
     closure,
     cyclotomic_polynomial,
     euler_phi,
+    from_rational,
     prime_factors,
 )
 
@@ -206,3 +209,14 @@ def frobenius_average(a: Value, p: int) -> Value:
     while k != 1:  # the orbit of p in (Z/n)*, counted here and not by the kernel
         total, k, r = add(total, galois(a, k)), k * p % n, r + 1
     return total[0], tuple(c / r for c in total[1])
+
+
+def inverse(a: Cyclotomic) -> Cyclotomic:
+    """1/a for a ``refartin`` value, which has no division: the product of
+    the other Galois conjugates of a over its norm, the rational a times
+    that product (ZeroDivisionError for a = 0)."""
+    n, prod = a.conductor, ONE
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            prod = prod * a.galois(k)
+    return prod * from_rational(1 / (a * prod).rational())

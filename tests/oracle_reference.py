@@ -44,7 +44,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from refartin._linalg import eliminate, eliminate_ol, hadamard_exponent
-from refartin._poly import padd, pdeg, pdivmod, pmod, pmul, ptrim
+from refartin._poly import padd, pdeg, pmod, pmul, ptrim
+from refartin.cyclotomic import Cyclotomic
 from refartin.grouptheory import generators
 from refartin.oracle import _x_shifts
 
@@ -118,10 +119,25 @@ def int_step(a: int, b: int, c: int, d: int, prev: int) -> int:
 
 
 def poly_step(a: tuple, b: tuple, c: tuple, d: tuple, prev: tuple) -> tuple:
-    """The Bareiss step over a polynomial ring: (a d - b c) / prev."""
-    q, r = pdivmod(psub(pmul(a, d), pmul(b, c)), prev)
-    assert not r, "the Bareiss division is exact"
-    return q
+    """The Bareiss step over a polynomial ring: (a d - b c) / prev, by long
+    division through the reciprocal of prev's leading coefficient."""
+    rem, inv, q = list(psub(pmul(a, d), pmul(b, c))), reciprocal(prev[-1]), []
+    for top in range(len(rem) - len(prev), -1, -1):
+        q.append(rem[top + len(prev) - 1] * inv)
+        for i, y in enumerate(prev):
+            rem[top + i] = rem[top + i] - q[-1] * y
+    assert not any(rem), "the Bareiss division is exact"
+    return ptrim(tuple(reversed(q)))
+
+
+def reciprocal(x):
+    """1/x in Q, or in Q(zeta_N) by the reference inverse: ``Cyclotomic``
+    values have no division."""
+    if isinstance(x, Cyclotomic):
+        from cyclotomic_reference import inverse  # it imports this module
+
+        return inverse(x)
+    return Fraction(1) / x
 
 
 def field_kernel(rows: list[list], one) -> list[list]:
@@ -138,7 +154,7 @@ def field_kernel(rows: list[list], one) -> list[list]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = one / rows[r][c]
+        inv = reciprocal(rows[r][c])
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:

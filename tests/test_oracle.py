@@ -30,6 +30,7 @@ import refartin.oracle as oracle
 from refartin._linalg import eliminate, eliminate_ol, hadamard_exponent
 from refartin._poly import padd, pcompose, pexact_div, pmod, ptrim
 from refartin.oracle import (
+    MonogenicOrder,
     OracleError,
     TameModel,
     build_monogenic_order,
@@ -205,8 +206,78 @@ def test_normal_conjugates_take_the_least_nonsingular_c():
         dets = [bareiss_det(theta_conjugates(order, c), int_step, 1) for c in range(2)]
         if not dets[0]:
             singular_at_zero.add(name)
-        assert oracle._normal_conjugates(order) == theta_conjugates(order, 0 if dets[0] else 1) and dets[1]
+        assert [list(c) for c in order.normal] == theta_conjugates(order, 0 if dets[0] else 1) and dets[1]
     assert singular_at_zero == {"quad", "phi5", "phi7", "phi8", "phi9", "phi11", "phi13", "phi16"}
+
+
+def test_equal_inputs_return_the_identical_order():
+    """build_monogenic_order is keyed on its arguments as int tuples: lists
+    and tuples give one object, and a different p, f or galois another, even
+    where the orders compare equal (galois unreduced mod f)."""
+    p, f, galois = 7, [7, 14, 7, 1], [[0, 1], [0, 4, 1], [-7, -5, -1]]
+    order = build_monogenic_order(p, f, galois)
+    assert build_monogenic_order(p, tuple(f), tuple(map(tuple, galois))) is order
+    assert real_cubic_order7() is order
+    quad = build_monogenic_order(2, [-6, 0, 1], [[0, 1], [0, -1]])
+    others = [build_monogenic_order(3, [-6, 0, 1], [[0, 1], [0, -1]]),
+              build_monogenic_order(2, [6, 0, 1], [[0, 1], [0, -1]]),
+              build_monogenic_order(2, [-6, 0, 1], [[0, 1], [-6, -1, 1]])]
+    assert all(o is not quad for o in others)
+    assert others[2] == quad != others[0] and others[1] != quad
+    assert oracle._unique_order.cache_info().maxsize == 32
+
+
+def test_invalid_orders_are_refused_on_every_call():
+    before = oracle._unique_order.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(OracleError, match="Eisenstein"):
+            build_monogenic_order(2, [-4, 0, 1], [[0, 1], [0, -1]])
+        with pytest.raises(OracleError, match="not prime"):
+            build_monogenic_order(4, [-4, 0, 1], [[0, 1], [0, -1]])
+    assert oracle._unique_order.cache_info().currsize == before
+
+
+def elimination_calls(monkeypatch):
+    """(rows, k) of every call of ``eliminate`` from the oracle module."""
+    calls = []
+
+    def spy(rows, p, k, *rest):
+        calls.append((len(rows), k))
+        return eliminate(rows, p, k, *rest)
+
+    monkeypatch.setattr(oracle, "eliminate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["cubic7", "phi9", "phi13"])
+def test_the_normal_element_is_certified_once_per_order(monkeypatch, name):
+    """The certification of theta, e rows at Hadamard's bound plus one (not
+    a power of two here, unlike the oracle's k), runs when an order is
+    built and never in ``oracle_monogenic_clin``, the regular module
+    included, whose d = e trace rows are as many."""
+    order = build_monogenic_order(*MONOGENIC_ORDERS[name][:3])
+    e, action = order.degree, regular_action(order.group)
+    certify = (e, hadamard_exponent(order.normal, order.p) + 1)
+    assert certify[1] & (certify[1] - 1)
+    calls = elimination_calls(monkeypatch)
+    oracle_monogenic_clin(order, action)
+    assert calls and certify not in calls
+    calls.clear()
+    assert MonogenicOrder(*order[:3]).normal == order.normal and certify in calls
+
+
+@pytest.mark.parametrize("name", ["quad", "cubic7", "phi8", "phi9", "phi13"])
+def test_a_cached_order_gives_the_values_of_a_fresh_one(name):
+    """The regular, the trivial and the regular module again: the order
+    from the cache gives what a fresh ``MonogenicOrder`` gives, and no call
+    changes what it holds."""
+    order = build_monogenic_order(*MONOGENIC_ORDERS[name][:3])
+    fresh, held = MonogenicOrder(*order[:3]), tuple(order)
+    assert fresh is not order and fresh == order
+    regular, trivial = regular_action(order.group), [[[1]]] * order.group.order
+    for action in (regular, trivial, regular):
+        assert oracle_monogenic_clin(order, action) == oracle_monogenic_clin(fresh, action)
+    assert tuple(order) == tuple(fresh) == held
 
 
 def trace_route(monkeypatch, order, action):

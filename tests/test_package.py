@@ -107,7 +107,7 @@ def test_records_compare_hash_and_copy_as_before():
         (data.gamma, {"classes": ()}, (data.gamma.table,)),
         (sub, {"group": data.gamma}, (sub.parent, sub.members)),
         (data, {"phi_vertices": (), "subgroups": ()}, tuple(data)[:5]),
-        (order, {"group": data.gamma, "powers": ()}, (order.p, order.f, order.galois)),
+        (order, {"group": data.gamma, "powers": (), "normal": ()}, (order.p, order.f, order.galois)),
     ]:
         other = record._replace(**derived)
         assert other == record and not other != record and hash(other) == hash(key)
@@ -121,3 +121,26 @@ def test_records_compare_hash_and_copy_as_before():
                            "group=FiniteGroup(order=2))")
     z = make_root(8, 1) + from_rational(1)
     assert hash(z) == hash((z.conductor, z.num, z.den)) and copy.copy(z) == z
+
+
+# The caches with no maxsize; each docstring names what bounds its keys.
+UNBOUNDED_CACHES = {"euler_phi", "prime_factors", "cyclotomic_polynomial", "_phi_terms",
+                    "cyclic_group", "abelian_group"}
+
+
+def test_every_cache_is_bounded_or_listed():
+    """Every ``lru_cache`` wrapper in a refartin module, at module level or
+    on a class, has a finite maxsize or is one of ``UNBOUNDED_CACHES``: a new
+    unbounded cache fails here until it is listed."""
+    import importlib
+    import pkgutil
+
+    caches = {}
+    for info in pkgutil.iter_modules(refartin.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(f"refartin.{info.name}")
+        for value in list(vars(module).values()):
+            inner = vars(value).values() if isinstance(value, type) else ()
+            caches.update((id(obj), obj) for obj in (value, *inner) if hasattr(obj, "cache_info"))
+    assert {c.__name__ for c in caches.values() if c.cache_info().maxsize is None} == UNBOUNDED_CACHES

@@ -204,7 +204,7 @@ def test_bar_n_closed_form():
         bn = bar_n(n)
         assert bn.values[0].rational() == Fraction(n - 1, 2)
         for a in range(1, n):
-            assert bn.values[a] == ONE / (make_root(n, a) - ONE)
+            assert bn.values[a] * (make_root(n, a) - ONE) == ONE
 
 
 # -- refined Artin character -------------------------------------------------------
@@ -286,7 +286,7 @@ def test_subgroup_tame_character_compatibility():
 
     t = _dlog_mod_wild(m, g_sub_parent)
     lhs = make_root(n, t * k)  # Psi_{L/K} at the element
-    rhs = make_root(sd.data.n, sd.data.tame_exponent) ** sd.e_wild
+    rhs = make_root(sd.data.n, sd.data.tame_exponent * sd.e_wild)
     assert lhs == rhs
 
 
